@@ -101,24 +101,18 @@ func (c *Code) Encode(data []uint64) []Cell {
 	checks := make([]Cell, c.cells)
 	pos := make([]int, c.r)
 	for i, v := range data {
-		cs := c.checksum(i)
-		c.positions(i, pos)
-		for _, p := range pos {
-			checks[p].Count++
-			checks[p].IdxSum ^= uint64(i + 1)
-			checks[p].ValueSum ^= v
-			checks[p].CheckSum ^= cs
-		}
+		c.apply(checks, i, v, pos, 1)
 	}
 	return checks
 }
 
 // EncodeWithPool is Encode with the per-symbol cell updates fanned out
-// over an explicit worker pool using atomic XOR/add — the erasure analog
-// of the IBLT's parallel insertion phase. The resulting check block is
-// cell-for-cell identical to Encode's (XOR updates commute). All
-// per-call state is owned by the call, so concurrent encodes may share
-// one pool.
+// over an explicit worker pool — the erasure analog of the IBLT's
+// parallel insertion phase, with the same choice between atomic updates
+// and private per-worker shards (see applyAllCtx). The resulting check
+// block is cell-for-cell identical to Encode's (XOR and add commute).
+// All per-call state is owned by the call, so concurrent encodes may
+// share one pool.
 func (c *Code) EncodeWithPool(data []uint64, pool *parallel.Pool) []Cell {
 	checks, _ := c.EncodeCtx(context.Background(), data, pool)
 	return checks
@@ -129,29 +123,74 @@ func (c *Code) EncodeWithPool(data []uint64, pool *parallel.Pool) []Cell {
 // partially encoded and must be discarded.
 func (c *Code) EncodeCtx(ctx context.Context, data []uint64, pool *parallel.Pool) ([]Cell, error) {
 	checks := make([]Cell, c.cells)
-	// Per-worker position buffers: chunks with the same worker ID never
-	// run concurrently within this call, and the buffers are call-local,
-	// so concurrent jobs sharing the pool cannot collide.
-	posBufs := make([][]int, pool.Workers())
-	for w := range posBufs {
-		posBufs[w] = make([]int, c.r)
-	}
-	if err := pool.ForCtx(ctx, len(data), 2048, func(w, lo, hi int) {
-		pos := posBufs[w]
-		for i := lo; i < hi; i++ {
-			c.applyAtomic(checks, i, data[i], pos, 1)
-		}
-	}); err != nil {
+	if _, err := c.applyAllCtx(ctx, checks, data, nil, 1, pool); err != nil {
 		return nil, err
 	}
 	return checks, nil
 }
 
+// applyAllCtx adds (delta = +1) or subtracts (delta = -1) every symbol
+// of data into cells on the pool, skipping the symbols whose present
+// entry is false (present == nil skips none), and returns how many it
+// skipped. It is the bulk-update kernel of EncodeCtx and of DecodeCtx's
+// received-symbol pass, with the IBLT bulk insert's rule. A block of at
+// most len(data) cells would keep the workers' CAS-loop XORs contending
+// on a few cache lines, so it is updated contention-free: worker 0
+// writes cells in place, every other worker ID that claims a chunk
+// writes a zeroed private shard, and the shards are merged into cells
+// after the barrier. A larger block keeps the atomic updates, where
+// shards would cost more to allocate and merge than the updates
+// themselves. Both give the serial result cell for cell.
+func (c *Code) applyAllCtx(ctx context.Context, cells []Cell, data []uint64, present []bool, delta int32, pool *parallel.Pool) (int, error) {
+	// Per-worker position buffers and shards: chunks with the same worker
+	// ID never run concurrently within this call, and the buffers are
+	// call-local, so concurrent jobs sharing the pool cannot collide.
+	posBufs := make([][]int, pool.Workers())
+	for w := range posBufs {
+		posBufs[w] = make([]int, c.r)
+	}
+	var shards [][]Cell // nil: atomic updates of cells
+	if c.cells <= len(data) {
+		shards = make([][]Cell, pool.Workers())
+		shards[0] = cells
+	}
+	skipped := pool.NewCounter()
+	if err := pool.ForCtx(ctx, len(data), 2048, func(w, lo, hi int) {
+		pos := posBufs[w]
+		if shards != nil && shards[w] == nil {
+			shards[w] = make([]Cell, c.cells)
+		}
+		for i := lo; i < hi; i++ {
+			switch {
+			case present != nil && !present[i]:
+				skipped.Add(w, 1)
+			case shards == nil:
+				c.applyAtomic(cells, i, data[i], pos, delta)
+			default:
+				c.apply(shards[w], i, data[i], pos, delta)
+			}
+		}
+	}); err != nil {
+		return 0, err
+	}
+	if shards != nil {
+		for _, shard := range shards[1:] {
+			for p := range shard {
+				cells[p].Count += shard[p].Count
+				cells[p].IdxSum ^= shard[p].IdxSum
+				cells[p].ValueSum ^= shard[p].ValueSum
+				cells[p].CheckSum ^= shard[p].CheckSum
+			}
+		}
+	}
+	return int(skipped.Sum()), nil
+}
+
 // applyAtomic adds (delta = +1) or subtracts (delta = -1) symbol i with
 // value v into cells using atomic updates — the concurrent analog of
-// subtract, shared by EncodeWithPool and DecodeWithPool. pos is the
-// caller's scratch buffer (one per worker; same-ID chunks never run
-// concurrently within a For call).
+// apply, used by applyAllCtx's large-block path. pos is the caller's
+// scratch buffer (one per worker; same-ID chunks never run concurrently
+// within a For call).
 func (c *Code) applyAtomic(cells []Cell, i int, v uint64, pos []int, delta int32) {
 	cs := c.checksum(i)
 	c.positions(i, pos)
@@ -206,7 +245,7 @@ func (c *Code) Decode(data []uint64, present []bool, checks []Cell) error {
 			missing++
 			continue
 		}
-		c.subtract(work, i, v, pos)
+		c.apply(work, i, v, pos, -1)
 	}
 	if missing == 0 {
 		return nil
@@ -216,7 +255,7 @@ func (c *Code) Decode(data []uint64, present []bool, checks []Cell) error {
 
 // DecodeWithPool is Decode with both phases on an explicit worker pool:
 // the received-symbol subtraction pass (the O(data) part that dominates
-// when few symbols are missing) fans out with atomic cell updates, and
+// when few symbols are missing) fans out through applyAllCtx, and
 // recovery runs the round-synchronous parallel peel decodeRounds — the
 // erasure analog of the IBLT's subround decoder — instead of the serial
 // queue peel. Results are identical to Decode (peeling is confluent; the
@@ -238,24 +277,10 @@ func (c *Code) DecodeCtx(ctx context.Context, data []uint64, present []bool, che
 	}
 	work := make([]Cell, c.cells)
 	copy(work, checks)
-	posBufs := make([][]int, pool.Workers())
-	for w := range posBufs {
-		posBufs[w] = make([]int, c.r)
-	}
-	missingCount := pool.NewCounter()
-	if err := pool.ForCtx(ctx, len(data), 2048, func(w, lo, hi int) {
-		pos := posBufs[w]
-		for i := lo; i < hi; i++ {
-			if !present[i] {
-				missingCount.Add(w, 1)
-				continue
-			}
-			c.applyAtomic(work, i, data[i], pos, -1)
-		}
-	}); err != nil {
+	missing, err := c.applyAllCtx(ctx, work, data, present, -1, pool)
+	if err != nil {
 		return err
 	}
-	missing := int(missingCount.Sum())
 	if missing == 0 {
 		return nil
 	}
@@ -401,7 +426,7 @@ func (c *Code) peel(work []Cell, data []uint64, present []bool, missing int) err
 		data[idx] = val
 		present[idx] = true
 		recovered++
-		c.subtract(work, idx, val, pos)
+		c.apply(work, idx, val, pos, -1)
 		for _, q := range pos {
 			if c.pure(&work[q]) {
 				queue = append(queue, q)
@@ -423,14 +448,16 @@ func (c *Code) pure(cell *Cell) bool {
 	return c.checksum(int(cell.IdxSum-1)) == cell.CheckSum
 }
 
-func (c *Code) subtract(work []Cell, i int, v uint64, pos []int) {
+// apply adds (delta = +1) or subtracts (delta = -1) symbol i with value
+// v into cells with plain updates; pos is the caller's scratch buffer.
+func (c *Code) apply(cells []Cell, i int, v uint64, pos []int, delta int32) {
 	cs := c.checksum(i)
 	c.positions(i, pos)
 	for _, p := range pos {
-		work[p].Count--
-		work[p].IdxSum ^= uint64(i + 1)
-		work[p].ValueSum ^= v
-		work[p].CheckSum ^= cs
+		cells[p].Count += delta
+		cells[p].IdxSum ^= uint64(i + 1)
+		cells[p].ValueSum ^= v
+		cells[p].CheckSum ^= cs
 	}
 }
 

@@ -243,43 +243,63 @@ func BenchmarkDecode(b *testing.B) {
 	}
 }
 
+// poolSizes are the worker counts the pooled-vs-serial tests run at.
+var poolSizes = []int{1, 2, 3, 8}
+
 // TestEncodeWithPoolMatchesSerial checks the pool-threaded encoder is
-// cell-for-cell identical to the serial one (XOR/add updates commute).
+// cell-for-cell identical to the serial one (XOR/add updates commute),
+// with private per-worker shards (20 000 symbols, 1 500 cells) and with
+// atomic updates (1 000 symbols).
 func TestEncodeWithPoolMatchesSerial(t *testing.T) {
-	pool := parallel.NewPool(3)
-	defer pool.Close()
-	data := randomData(20000, 21)
 	code := NewCode(1500, 3, 7)
-	serial := code.Encode(data)
-	pooled := code.EncodeWithPool(data, pool)
-	for i := range serial {
-		if serial[i] != pooled[i] {
-			t.Fatalf("cell %d differs: serial %+v pooled %+v", i, serial[i], pooled[i])
+	for _, n := range []int{20000, 1000} {
+		data := randomData(n, 21)
+		serial := code.Encode(data)
+		for _, workers := range poolSizes {
+			pool := parallel.NewPool(workers)
+			pooled := code.EncodeWithPool(data, pool)
+			pool.Close()
+			for i := range serial {
+				if serial[i] != pooled[i] {
+					t.Fatalf("n=%d workers=%d: cell %d differs: serial %+v pooled %+v", n, workers, i, serial[i], pooled[i])
+				}
+			}
 		}
 	}
 }
 
 // TestDecodeWithPoolMatchesSerial checks the pool-threaded decoder
 // recovers exactly what the serial one does, on both succeeding and
-// stalling loss rates.
+// stalling loss rates, with the received-symbol pass on private shards
+// (20 000 symbols, 1 500 cells) and on atomic updates (1 200 symbols).
 func TestDecodeWithPoolMatchesSerial(t *testing.T) {
-	pool := parallel.NewPool(3)
-	defer pool.Close()
-	data := randomData(20000, 22)
 	code := NewCode(1500, 3, 7)
-	checks := code.EncodeWithPool(data, pool)
-	for _, losses := range []int{0, 1000, 1400} {
-		gotS, presentS := erase(data, losses, 23)
-		gotP, presentP := erase(data, losses, 23)
-		errS := code.Decode(gotS, presentS, checks)
-		errP := code.DecodeWithPool(gotP, presentP, checks, pool)
-		if (errS == nil) != (errP == nil) {
-			t.Fatalf("losses %d: serial err=%v pooled err=%v", losses, errS, errP)
-		}
-		for i := range data {
-			if gotS[i] != gotP[i] || presentS[i] != presentP[i] {
-				t.Fatalf("losses %d: symbol %d diverges between serial and pooled decode", losses, i)
+	for _, tc := range []struct {
+		n      int
+		losses []int
+	}{
+		{20000, []int{0, 1000, 1400}},
+		{1200, []int{0, 600, 1150}},
+	} {
+		data := randomData(tc.n, 22)
+		checks := code.Encode(data)
+		for _, workers := range poolSizes {
+			pool := parallel.NewPool(workers)
+			for _, losses := range tc.losses {
+				gotS, presentS := erase(data, losses, 23)
+				gotP, presentP := erase(data, losses, 23)
+				errS := code.Decode(gotS, presentS, checks)
+				errP := code.DecodeWithPool(gotP, presentP, checks, pool)
+				if (errS == nil) != (errP == nil) {
+					t.Fatalf("n=%d workers=%d losses %d: serial err=%v pooled err=%v", tc.n, workers, losses, errS, errP)
+				}
+				for i := range data {
+					if gotS[i] != gotP[i] || presentS[i] != presentP[i] {
+						t.Fatalf("n=%d workers=%d losses %d: symbol %d diverges between serial and pooled decode", tc.n, workers, losses, i)
+					}
+				}
 			}
+			pool.Close()
 		}
 	}
 }

@@ -131,37 +131,100 @@ func (t *Table) apply(x uint64, delta int64) {
 	}
 }
 
-// InsertAll inserts keys in parallel on the process-wide default pool,
-// using atomic cell updates (the goroutine analog of the paper's
-// one-CUDA-thread-per-item insertion phase with atomic XOR).
-func (t *Table) InsertAll(keys []uint64) { t.applyAll(keys, 1, parallel.Default()) }
+// InsertAll inserts keys in parallel on the process-wide default pool.
+// A table with more cells than keys runs the paper's insertion phase —
+// one task per key, atomic XOR/add on the shared cells; a table with at
+// most as many cells as keys is filled through per-worker private
+// copies merged at the barrier (see applyAllCtx). Both give the serial
+// Insert result cell for cell.
+//
+// Concurrent bulk updates (InsertAll*, DeleteAll*) of different tables
+// are safe, also on one shared pool; overlapping bulk updates of one
+// table are not. A zero key re-panics on the caller as a
+// *parallel.PanicError and leaves the table holding an unspecified
+// subset of keys.
+func (t *Table) InsertAll(keys []uint64) { t.InsertAllWithPool(keys, parallel.Default()) }
 
 // InsertAllWithPool is InsertAll on an explicit worker pool.
 func (t *Table) InsertAllWithPool(keys []uint64, pool *parallel.Pool) {
-	t.applyAll(keys, 1, pool)
+	t.mustApplyAll(keys, 1, pool)
 }
 
-// DeleteAll deletes keys in parallel on the process-wide default pool.
-func (t *Table) DeleteAll(keys []uint64) { t.applyAll(keys, -1, parallel.Default()) }
+// DeleteAll deletes keys in parallel on the process-wide default pool,
+// with InsertAll's paths and concurrency contract.
+func (t *Table) DeleteAll(keys []uint64) { t.DeleteAllWithPool(keys, parallel.Default()) }
 
 // DeleteAllWithPool is DeleteAll on an explicit worker pool.
 func (t *Table) DeleteAllWithPool(keys []uint64, pool *parallel.Pool) {
-	t.applyAll(keys, -1, pool)
+	t.mustApplyAll(keys, -1, pool)
 }
 
-func (t *Table) applyAll(keys []uint64, delta int64, pool *parallel.Pool) {
-	pool.For(len(keys), 1024, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			t.checkKey(keys[i])
-			t.applyAtomic(keys[i], delta)
+// InsertAllCtx is InsertAllWithPool with cooperative cancellation
+// (checked between batch chunks); a zero key returns a
+// *parallel.PanicError instead of panicking. On a non-nil return the
+// table holds an unspecified subset of keys and must be discarded —
+// cancellation abandons the request, not just the insert pass.
+func (t *Table) InsertAllCtx(ctx context.Context, keys []uint64, pool *parallel.Pool) error {
+	return t.applyAllCtx(ctx, keys, 1, pool)
+}
+
+// mustApplyAll is applyAllCtx for the context-free forms, whose only
+// possible error is a recovered *parallel.PanicError: it is re-raised on
+// the caller, as Pool.For does.
+func (t *Table) mustApplyAll(keys []uint64, delta int64, pool *parallel.Pool) {
+	if err := t.applyAllCtx(context.Background(), keys, delta, pool); err != nil {
+		panic(err)
+	}
+}
+
+// applyAllCtx adds (delta = +1) or removes (delta = -1) every key on the
+// pool: the one bulk-update kernel behind InsertAll*, DeleteAll* and
+// InsertAllCtx. Go has no atomic XOR (parallel.XorUint64 is a CAS loop),
+// and when the table has no more cells than the batch has keys, workers
+// updating it atomically keep bouncing the same few cache lines between
+// them. Such a table is filled contention-free instead: worker 0 writes
+// t in place, every other worker ID that claims a chunk gets a zeroed
+// private table of the same geometry, and the private tables are merged
+// into t after the barrier — at most (W−1) × 24 B of extra memory per
+// key. A table with more cells than keys (e.g. the paper's Tables 3–4,
+// load < 1) keeps the atomic path, where private copies would cost more
+// to allocate and merge than the inserts themselves. XOR and add
+// commute, so both paths give the serial result at every worker count.
+func (t *Table) applyAllCtx(ctx context.Context, keys []uint64, delta int64, pool *parallel.Pool) error {
+	if t.Cells() > len(keys) {
+		return pool.ForCtx(ctx, len(keys), 1024, func(_, lo, hi int) {
+			for i := lo; i < hi; i++ {
+				t.checkKey(keys[i])
+				t.applyAtomic(keys[i], delta)
+			}
+		})
+	}
+	private := make([]*Table, pool.Workers())
+	private[0] = t
+	if err := pool.ForCtx(ctx, len(keys), 1024, func(w, lo, hi int) {
+		if private[w] == nil {
+			private[w] = t.emptyCopy()
 		}
-	})
+		dst := private[w]
+		for i := lo; i < hi; i++ {
+			dst.checkKey(keys[i])
+			dst.apply(keys[i], delta)
+		}
+	}); err != nil {
+		return err
+	}
+	for _, p := range private[1:] {
+		if p != nil {
+			t.addCells(p, 1)
+		}
+	}
+	return nil
 }
 
 // applyAtomic adds (delta = +1) or removes (delta = -1) key x using
-// atomic cell updates — the single-key concurrent insert primitive
-// shared by the bulk ...All paths and the strata estimator's parallel
-// inserts. Safe to call concurrently for any mix of keys and tables.
+// atomic cell updates: the large-table path of the bulk updates. It is
+// safe against concurrent applyAtomic calls on the same table, not
+// against plain updates of it.
 func (t *Table) applyAtomic(x uint64, delta int64) {
 	cs := t.checksum(x)
 	for j := 0; j < t.r; j++ {
@@ -172,17 +235,26 @@ func (t *Table) applyAtomic(x uint64, delta int64) {
 	}
 }
 
-// InsertAllCtx is InsertAllWithPool with cooperative cancellation
-// (checked between batch chunks). On a non-nil return the table holds an
-// unspecified subset of keys and must be discarded — cancellation
-// abandons the request, not just the insert pass.
-func (t *Table) InsertAllCtx(ctx context.Context, keys []uint64, pool *parallel.Pool) error {
-	return pool.ForCtx(ctx, len(keys), 1024, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			t.checkKey(keys[i])
-			t.applyAtomic(keys[i], 1)
-		}
-	})
+// emptyCopy returns a zeroed table with t's geometry and seeds. The hash
+// seeds are shared: nothing writes them after New.
+func (t *Table) emptyCopy() *Table {
+	n := len(t.count)
+	return &Table{
+		r: t.r, subSize: t.subSize, seed: t.seed, cseed: t.cseed, hseed: t.hseed,
+		count:    make([]int64, n),
+		keySum:   make([]uint64, n),
+		checkSum: make([]uint64, n),
+	}
+}
+
+// addCells adds sign × other into t cell by cell (counts scaled by sign,
+// sums XORed). other must share t's geometry.
+func (t *Table) addCells(other *Table, sign int64) {
+	for i := range t.count {
+		t.count[i] += sign * other.count[i]
+		t.keySum[i] ^= other.keySum[i]
+		t.checkSum[i] ^= other.checkSum[i]
+	}
 }
 
 // Clone returns a deep copy (decoding is destructive; clone first to keep
@@ -206,11 +278,7 @@ func (t *Table) Subtract(other *Table) {
 	if t.r != other.r || t.subSize != other.subSize || t.seed != other.seed {
 		panic("iblt: subtracting incompatible tables")
 	}
-	for i := range t.count {
-		t.count[i] -= other.count[i]
-		t.keySum[i] ^= other.keySum[i]
-		t.checkSum[i] ^= other.checkSum[i]
-	}
+	t.addCells(other, -1)
 }
 
 // pure reports whether cell i holds exactly one key, and returns that key

@@ -76,30 +76,67 @@ func (e *StrataEstimator) InsertAll(keys []uint64) {
 	}
 }
 
-// InsertAllWithPool adds keys in parallel on an explicit worker pool:
-// each worker hashes its chunk's keys to their strata and applies them
-// with atomic cell updates, so the stratified insert pass — the serial
-// prefix of every reconciliation request — scales with the bulk-insert
-// paths instead of serializing in front of them. The tables are tiny
-// (concurrent updates contend on few cells), but the per-key hashing,
-// which dominates, fans out fully. The resulting estimator is
-// cell-for-cell identical to a serial InsertAll (XOR updates commute).
+// InsertAllWithPool adds keys in parallel on an explicit worker pool, so
+// the stratified insert pass — the first step of every reconciliation
+// request — does not run serially in front of the bulk table inserts.
+// The estimator is tiny (strataDepth × 81 cells), so with a batch of at
+// least that many keys, atomic updates would spend their time in CAS
+// retries on a few shared cache lines; each worker then fills a private
+// estimator instead, merged at the barrier, as Table.InsertAll does.
+// Smaller batches keep the atomic updates. The result is cell-for-cell
+// identical to a serial InsertAll (XOR and add commute).
 func (e *StrataEstimator) InsertAllWithPool(keys []uint64, pool *parallel.Pool) {
 	_ = e.insertAllCtx(context.Background(), keys, pool)
 }
 
 // insertAllCtx is InsertAllWithPool with cooperative cancellation; on a
 // non-nil return the estimator is partially filled and must be
-// discarded.
+// discarded. It follows Table.applyAllCtx's rule, comparing the
+// estimator's total cell count with len(keys).
 func (e *StrataEstimator) insertAllCtx(ctx context.Context, keys []uint64, pool *parallel.Pool) error {
-	return pool.ForCtx(ctx, len(keys), 2048, func(_, lo, hi int) {
+	if len(e.strata)*e.strata[0].Cells() > len(keys) {
+		return pool.ForCtx(ctx, len(keys), 2048, func(_, lo, hi int) {
+			for i := lo; i < hi; i++ {
+				x := keys[i]
+				t := e.strata[e.stratumOf(x)]
+				t.checkKey(x)
+				t.applyAtomic(x, 1)
+			}
+		})
+	}
+	private := make([]*StrataEstimator, pool.Workers())
+	private[0] = e
+	if err := pool.ForCtx(ctx, len(keys), 2048, func(w, lo, hi int) {
+		if private[w] == nil {
+			private[w] = e.emptyCopy()
+		}
+		dst := private[w]
 		for i := lo; i < hi; i++ {
 			x := keys[i]
-			t := e.strata[e.stratumOf(x)]
+			t := dst.strata[dst.stratumOf(x)]
 			t.checkKey(x)
-			t.applyAtomic(x, 1)
+			t.apply(x, 1)
 		}
-	})
+	}); err != nil {
+		return err
+	}
+	for _, p := range private[1:] {
+		if p != nil {
+			for i, t := range p.strata {
+				e.strata[i].addCells(t, 1)
+			}
+		}
+	}
+	return nil
+}
+
+// emptyCopy returns a zeroed estimator with e's seed and strata geometry.
+func (e *StrataEstimator) emptyCopy() *StrataEstimator {
+	c := &StrataEstimator{strata: make([]*Table, len(e.strata)), seed: e.seed}
+	for i, t := range e.strata {
+		c.strata[i] = t.emptyCopy()
+	}
+	return c
 }
 
 // Subtract replaces e with the stratum-wise difference e − other. Panics

@@ -12,7 +12,8 @@ import (
 
 // TestStrataInsertAllWithPool checks the parallel stratified insert is
 // cell-for-cell identical to the serial one (XOR commutes) at every
-// worker count.
+// worker count, on both sides of the 2 592-cell rule: 50 000 keys take
+// the private-estimator path, 1 000 keys the atomic one.
 func TestStrataInsertAllWithPool(t *testing.T) {
 	gen := rng.New(5)
 	keys := make([]uint64, 50000)
@@ -21,23 +22,25 @@ func TestStrataInsertAllWithPool(t *testing.T) {
 			keys[i] = gen.Uint64()
 		}
 	}
-	want := NewStrataEstimator(42)
-	want.InsertAll(keys)
-	wb, err := want.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 3, 8} {
-		pool := parallel.NewPool(workers)
-		got := NewStrataEstimator(42)
-		got.InsertAllWithPool(keys, pool)
-		pool.Close()
-		gb, err := got.MarshalBinary()
+	for _, n := range []int{len(keys), 1000} {
+		want := NewStrataEstimator(42)
+		want.InsertAll(keys[:n])
+		wb, err := want.MarshalBinary()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !equalBytes(wb, gb) {
-			t.Fatalf("workers=%d: parallel strata insert diverges from serial", workers)
+		for _, workers := range []int{1, 2, 3, 8} {
+			pool := parallel.NewPool(workers)
+			got := NewStrataEstimator(42)
+			got.InsertAllWithPool(keys[:n], pool)
+			pool.Close()
+			gb, err := got.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !equalBytes(wb, gb) {
+				t.Fatalf("keys=%d workers=%d: parallel strata insert diverges from serial", n, workers)
+			}
 		}
 	}
 }

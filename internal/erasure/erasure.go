@@ -27,7 +27,7 @@ import (
 // Cell is one check symbol: the XOR of the values of the data symbols
 // hashed to it, a XOR of their (index+1) tags, a count, and a checksum
 // that guards pure-cell detection after subtraction. Layout matters for
-// applyAtomic's 64-bit atomics on 32-bit platforms: the uint64 fields
+// decodeRounds' 64-bit atomics on 32-bit platforms: the uint64 fields
 // lead and the explicit tail padding keeps the struct size a multiple
 // of 8, so every element of a []Cell (whose backing array the allocator
 // 8-aligns) has 8-aligned uint64 fields.
@@ -108,8 +108,8 @@ func (c *Code) Encode(data []uint64) []Cell {
 
 // EncodeWithPool is Encode with the per-symbol cell updates fanned out
 // over an explicit worker pool — the erasure analog of the IBLT's
-// parallel insertion phase, with the same choice between atomic updates
-// and private per-worker shards (see applyAllCtx). The resulting check
+// parallel insertion phase, on private per-worker shards merged at the
+// barrier (see applyAllCtx). The resulting check
 // block is cell-for-cell identical to Encode's (XOR and add commute).
 // All per-call state is owned by the call, so concurrent encodes may
 // share one pool.
@@ -133,14 +133,16 @@ func (c *Code) EncodeCtx(ctx context.Context, data []uint64, pool *parallel.Pool
 // of data into cells on the pool, skipping the symbols whose present
 // entry is false (present == nil skips none), and returns how many it
 // skipped. It is the bulk-update kernel of EncodeCtx and of DecodeCtx's
-// received-symbol pass, with the IBLT bulk insert's rule. A block of at
-// most len(data) cells would keep the workers' CAS-loop XORs contending
-// on a few cache lines, so it is updated contention-free: worker 0
-// writes cells in place, every other worker ID that claims a chunk
-// writes a zeroed private shard, and the shards are merged into cells
-// after the barrier. A larger block keeps the atomic updates, where
-// shards would cost more to allocate and merge than the updates
-// themselves. Both give the serial result cell for cell.
+// received-symbol pass. Atomic updates of the shared block would keep
+// the workers' CAS-loop XORs contending on its cache lines, so the block
+// is updated contention-free, as the IBLT bulk insert does: worker 0
+// writes cells in place, every other worker ID that claims a 2 048-symbol
+// chunk writes a zeroed private shard, and the shards are merged into
+// cells after the barrier. Each extra chunk costs at most one
+// Cells()-long shard and merge; a check block is a fraction of the data
+// it protects (the overhead Cells()/len(data)), so that stays below the
+// symbol updates themselves.
+// The result is the serial one cell for cell (XOR and add commute).
 func (c *Code) applyAllCtx(ctx context.Context, cells []Cell, data []uint64, present []bool, delta int32, pool *parallel.Pool) (int, error) {
 	// Per-worker position buffers and shards: chunks with the same worker
 	// ID never run concurrently within this call, and the buffers are
@@ -149,57 +151,33 @@ func (c *Code) applyAllCtx(ctx context.Context, cells []Cell, data []uint64, pre
 	for w := range posBufs {
 		posBufs[w] = make([]int, c.r)
 	}
-	var shards [][]Cell // nil: atomic updates of cells
-	if c.cells <= len(data) {
-		shards = make([][]Cell, pool.Workers())
-		shards[0] = cells
-	}
+	shards := make([][]Cell, pool.Workers())
+	shards[0] = cells
 	skipped := pool.NewCounter()
 	if err := pool.ForCtx(ctx, len(data), 2048, func(w, lo, hi int) {
 		pos := posBufs[w]
-		if shards != nil && shards[w] == nil {
+		if shards[w] == nil {
 			shards[w] = make([]Cell, c.cells)
 		}
 		for i := lo; i < hi; i++ {
-			switch {
-			case present != nil && !present[i]:
+			if present != nil && !present[i] {
 				skipped.Add(w, 1)
-			case shards == nil:
-				c.applyAtomic(cells, i, data[i], pos, delta)
-			default:
-				c.apply(shards[w], i, data[i], pos, delta)
+				continue
 			}
+			c.apply(shards[w], i, data[i], pos, delta)
 		}
 	}); err != nil {
 		return 0, err
 	}
-	if shards != nil {
-		for _, shard := range shards[1:] {
-			for p := range shard {
-				cells[p].Count += shard[p].Count
-				cells[p].IdxSum ^= shard[p].IdxSum
-				cells[p].ValueSum ^= shard[p].ValueSum
-				cells[p].CheckSum ^= shard[p].CheckSum
-			}
+	for _, shard := range shards[1:] {
+		for p := range shard {
+			cells[p].Count += shard[p].Count
+			cells[p].IdxSum ^= shard[p].IdxSum
+			cells[p].ValueSum ^= shard[p].ValueSum
+			cells[p].CheckSum ^= shard[p].CheckSum
 		}
 	}
 	return int(skipped.Sum()), nil
-}
-
-// applyAtomic adds (delta = +1) or subtracts (delta = -1) symbol i with
-// value v into cells using atomic updates — the concurrent analog of
-// apply, used by applyAllCtx's large-block path. pos is the caller's
-// scratch buffer (one per worker; same-ID chunks never run concurrently
-// within a For call).
-func (c *Code) applyAtomic(cells []Cell, i int, v uint64, pos []int, delta int32) {
-	cs := c.checksum(i)
-	c.positions(i, pos)
-	for _, p := range pos {
-		atomic.AddInt32(&cells[p].Count, delta)
-		parallel.XorUint64(&cells[p].IdxSum, uint64(i+1))
-		parallel.XorUint64(&cells[p].ValueSum, v)
-		parallel.XorUint64(&cells[p].CheckSum, cs)
-	}
 }
 
 // ErrDecodeFailed reports that peeling stalled — the erased symbols'
@@ -303,8 +281,8 @@ func (c *Code) DecodeCtx(ctx context.Context, data []uint64, present []bool, che
 //     cells are pure in the same round (the erasure hypergraph has no
 //     subtable structure, so — unlike the IBLT subround decoder — two
 //     workers can see the same symbol pure simultaneously).
-//   - pureAtomic reads the checksum before the value while applyAtomic
-//     writes the checksum last, so a checksum match proves the value read
+//   - pureAtomic reads the checksum before the value while the
+//     subtractions below write the checksum last, so a checksum match proves the value read
 //     includes every concurrent subtraction that could have produced the
 //     matching idx/checksum pair; torn reads fail the checksum and the
 //     touched cell is simply re-examined next round (the toucher
@@ -385,7 +363,7 @@ func (c *Code) decodeRounds(ctx context.Context, work []Cell, data []uint64, pre
 // pureAtomic is the atomic-read variant of pure used by decodeRounds: it
 // reports whether the cell holds exactly one missing symbol, returning
 // its index and value. Reads are ordered Count, IdxSum, CheckSum, then
-// ValueSum; applyAtomic and the decode subtractions write CheckSum last,
+// ValueSum; decodeRounds' atomic subtractions write CheckSum last,
 // so a checksum that validates IdxSum proves the concurrent subtraction
 // (if any) had already finished updating ValueSum when we read it. Any
 // other torn combination fails the 64-bit checksum w.h.p. and the cell

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -243,26 +244,58 @@ func BenchmarkDecode(b *testing.B) {
 	}
 }
 
+// BenchmarkEncodeWithPool is BenchmarkEncode on a pool of GOMAXPROCS
+// workers (set it with -cpu).
+func BenchmarkEncodeWithPool(b *testing.B) {
+	pool := parallel.NewPool(runtime.GOMAXPROCS(0))
+	defer pool.Close()
+	data := randomData(1<<16, 1)
+	code := NewCode(1<<13, 3, 1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		code.EncodeWithPool(data, pool)
+	}
+}
+
+// BenchmarkDecodeWithPool is BenchmarkDecode on a pool of GOMAXPROCS
+// workers (set it with -cpu): the parallel received-symbol pass and the
+// round-synchronous peel.
+func BenchmarkDecodeWithPool(b *testing.B) {
+	pool := parallel.NewPool(runtime.GOMAXPROCS(0))
+	defer pool.Close()
+	data := randomData(1<<16, 1)
+	code := NewCode(1<<13, 3, 1)
+	checks := code.Encode(data)
+	corrupted, present := erase(data, 1<<12, 2) // load 0.5
+	scratchD := make([]uint64, len(data))
+	scratchP := make([]bool, len(present))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(scratchD, corrupted)
+		copy(scratchP, present)
+		if err := code.DecodeWithPool(scratchD, scratchP, checks, pool); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // poolSizes are the worker counts the pooled-vs-serial tests run at.
 var poolSizes = []int{1, 2, 3, 8}
 
 // TestEncodeWithPoolMatchesSerial checks the pool-threaded encoder is
-// cell-for-cell identical to the serial one (XOR/add updates commute),
-// with private per-worker shards (20 000 symbols, 1 500 cells) and with
-// atomic updates (1 000 symbols).
+// cell-for-cell identical to the serial one (XOR/add updates commute)
+// at every pool size, private per-worker shards included.
 func TestEncodeWithPoolMatchesSerial(t *testing.T) {
+	data := randomData(20000, 21)
 	code := NewCode(1500, 3, 7)
-	for _, n := range []int{20000, 1000} {
-		data := randomData(n, 21)
-		serial := code.Encode(data)
-		for _, workers := range poolSizes {
-			pool := parallel.NewPool(workers)
-			pooled := code.EncodeWithPool(data, pool)
-			pool.Close()
-			for i := range serial {
-				if serial[i] != pooled[i] {
-					t.Fatalf("n=%d workers=%d: cell %d differs: serial %+v pooled %+v", n, workers, i, serial[i], pooled[i])
-				}
+	serial := code.Encode(data)
+	for _, workers := range poolSizes {
+		pool := parallel.NewPool(workers)
+		pooled := code.EncodeWithPool(data, pool)
+		pool.Close()
+		for i := range serial {
+			if serial[i] != pooled[i] {
+				t.Fatalf("workers=%d: cell %d differs: serial %+v pooled %+v", workers, i, serial[i], pooled[i])
 			}
 		}
 	}
@@ -270,37 +303,28 @@ func TestEncodeWithPoolMatchesSerial(t *testing.T) {
 
 // TestDecodeWithPoolMatchesSerial checks the pool-threaded decoder
 // recovers exactly what the serial one does, on both succeeding and
-// stalling loss rates, with the received-symbol pass on private shards
-// (20 000 symbols, 1 500 cells) and on atomic updates (1 200 symbols).
+// stalling loss rates, at every pool size.
 func TestDecodeWithPoolMatchesSerial(t *testing.T) {
+	data := randomData(20000, 22)
 	code := NewCode(1500, 3, 7)
-	for _, tc := range []struct {
-		n      int
-		losses []int
-	}{
-		{20000, []int{0, 1000, 1400}},
-		{1200, []int{0, 600, 1150}},
-	} {
-		data := randomData(tc.n, 22)
-		checks := code.Encode(data)
-		for _, workers := range poolSizes {
-			pool := parallel.NewPool(workers)
-			for _, losses := range tc.losses {
-				gotS, presentS := erase(data, losses, 23)
-				gotP, presentP := erase(data, losses, 23)
-				errS := code.Decode(gotS, presentS, checks)
-				errP := code.DecodeWithPool(gotP, presentP, checks, pool)
-				if (errS == nil) != (errP == nil) {
-					t.Fatalf("n=%d workers=%d losses %d: serial err=%v pooled err=%v", tc.n, workers, losses, errS, errP)
-				}
-				for i := range data {
-					if gotS[i] != gotP[i] || presentS[i] != presentP[i] {
-						t.Fatalf("n=%d workers=%d losses %d: symbol %d diverges between serial and pooled decode", tc.n, workers, losses, i)
-					}
+	checks := code.Encode(data)
+	for _, workers := range poolSizes {
+		pool := parallel.NewPool(workers)
+		for _, losses := range []int{0, 1000, 1400} {
+			gotS, presentS := erase(data, losses, 23)
+			gotP, presentP := erase(data, losses, 23)
+			errS := code.Decode(gotS, presentS, checks)
+			errP := code.DecodeWithPool(gotP, presentP, checks, pool)
+			if (errS == nil) != (errP == nil) {
+				t.Fatalf("workers=%d losses %d: serial err=%v pooled err=%v", workers, losses, errS, errP)
+			}
+			for i := range data {
+				if gotS[i] != gotP[i] || presentS[i] != presentP[i] {
+					t.Fatalf("workers=%d losses %d: symbol %d diverges between serial and pooled decode", workers, losses, i)
 				}
 			}
-			pool.Close()
 		}
+		pool.Close()
 	}
 }
 

@@ -132,11 +132,11 @@ func (t *Table) apply(x uint64, delta int64) {
 }
 
 // InsertAll inserts keys in parallel on the process-wide default pool.
-// A table with more cells than keys runs the paper's insertion phase —
-// one task per key, atomic XOR/add on the shared cells; a table with at
-// most as many cells as keys is filled through per-worker private
-// copies merged at the barrier (see applyAllCtx). Both give the serial
-// Insert result cell for cell.
+// A table that is large for the batch at the pool's worker count W
+// ((W−1) × cells > keys) runs the paper's insertion phase — one task
+// per key, atomic XOR/add on the shared cells; any other table is filled
+// through per-worker private copies merged at the barrier (see
+// applyAllCtx). Both give the serial Insert result cell for cell.
 //
 // Concurrent bulk updates (InsertAll*, DeleteAll*) of different tables
 // are safe, also on one shared pool; overlapping bulk updates of one
@@ -185,13 +185,16 @@ func (t *Table) mustApplyAll(keys []uint64, delta int64, pool *parallel.Pool) {
 // them. Such a table is filled contention-free instead: worker 0 writes
 // t in place, every other worker ID that claims a chunk gets a zeroed
 // private table of the same geometry, and the private tables are merged
-// into t after the barrier — at most (W−1) × 24 B of extra memory per
-// key. A table with more cells than keys (e.g. the paper's Tables 3–4,
-// load < 1) keeps the atomic path, where private copies would cost more
-// to allocate and merge than the inserts themselves. XOR and add
-// commute, so both paths give the serial result at every worker count.
+// into t serially after the barrier. That path is taken while
+// (W−1) × cells ≤ len(keys), which bounds both the merge work and the
+// extra memory (24 B per merged cell) by the key count at any pool size
+// W; at W = 1 it always runs, as plain in-place updates. Larger tables
+// (e.g. the paper's Tables 3–4, load < 1, at W ≥ 2) keep the atomic
+// path, where private copies would cost more to allocate and merge than
+// the inserts themselves. XOR and add commute, so both paths give the
+// serial result at every worker count.
 func (t *Table) applyAllCtx(ctx context.Context, keys []uint64, delta int64, pool *parallel.Pool) error {
-	if t.Cells() > len(keys) {
+	if (pool.Workers()-1)*t.Cells() > len(keys) {
 		return pool.ForCtx(ctx, len(keys), 1024, func(_, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				t.checkKey(keys[i])

@@ -79,31 +79,22 @@ func (e *StrataEstimator) InsertAll(keys []uint64) {
 // InsertAllWithPool adds keys in parallel on an explicit worker pool, so
 // the stratified insert pass — the first step of every reconciliation
 // request — does not run serially in front of the bulk table inserts.
-// The estimator is tiny (strataDepth × 81 cells), so with a batch of at
-// least that many keys, atomic updates would spend their time in CAS
-// retries on a few shared cache lines; each worker then fills a private
-// estimator instead, merged at the barrier, as Table.InsertAll does.
-// Smaller batches keep the atomic updates. The result is cell-for-cell
-// identical to a serial InsertAll (XOR and add commute).
+// The estimator is tiny (strataDepth × 81 cells), so atomic updates
+// would spend their time in CAS retries on a few shared cache lines;
+// instead worker 0 fills e in place and every other worker ID that
+// claims a 2 048-key chunk fills a private estimator, merged at the
+// barrier. A private estimator thus costs at most 2 592 merged cells
+// (62 KB) per extra chunk, and batches of one chunk or 1-worker pools
+// run entirely in place. The result is cell-for-cell identical to a
+// serial InsertAll (XOR and add commute).
 func (e *StrataEstimator) InsertAllWithPool(keys []uint64, pool *parallel.Pool) {
 	_ = e.insertAllCtx(context.Background(), keys, pool)
 }
 
 // insertAllCtx is InsertAllWithPool with cooperative cancellation; on a
 // non-nil return the estimator is partially filled and must be
-// discarded. It follows Table.applyAllCtx's rule, comparing the
-// estimator's total cell count with len(keys).
+// discarded.
 func (e *StrataEstimator) insertAllCtx(ctx context.Context, keys []uint64, pool *parallel.Pool) error {
-	if len(e.strata)*e.strata[0].Cells() > len(keys) {
-		return pool.ForCtx(ctx, len(keys), 2048, func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				x := keys[i]
-				t := e.strata[e.stratumOf(x)]
-				t.checkKey(x)
-				t.applyAtomic(x, 1)
-			}
-		})
-	}
 	private := make([]*StrataEstimator, pool.Workers())
 	private[0] = e
 	if err := pool.ForCtx(ctx, len(keys), 2048, func(w, lo, hi int) {

@@ -12,8 +12,8 @@ import (
 
 // TestStrataInsertAllWithPool checks the parallel stratified insert is
 // cell-for-cell identical to the serial one (XOR commutes) at every
-// worker count, on both sides of the 2 592-cell rule: 50 000 keys take
-// the private-estimator path, 1 000 keys the atomic one.
+// worker count: 50 000 keys fill private estimators on every extra
+// worker, 1 000 keys (one chunk) are inserted in place.
 func TestStrataInsertAllWithPool(t *testing.T) {
 	gen := rng.New(5)
 	keys := make([]uint64, 50000)

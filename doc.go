@@ -47,12 +47,17 @@
 //	defer rt.Shutdown(context.Background())
 //	res, err := rt.Decode(ctx, table)
 //
-// Under the hood the parallel peelers execute on the Runtime's pool
-// (internal/parallel.Pool): workers stay alive across rounds, each
-// round's two phases are dispatched as chunked parallel-for batches, and
-// per-worker frontier shards — indexed by the pool's worker IDs — replace
-// locked appends, so the small-frontier tail rounds that dominate the
-// O(log log n) bound pay neither goroutine spawns nor mutex traffic.
+// Under the hood every parallel peel — k-core, ordered, subtable, IBLT
+// decode, and erasure recovery — runs on one round kernel (core.Kernel),
+// which owns the round and subround loop, the scan policy, duplicate
+// suppression, the barrier's cancellation check, and the round
+// accounting; each peel supplies only its peel action. The kernel runs
+// on the Runtime's pool (internal/parallel.Pool): workers stay alive
+// across rounds, each round's phases are dispatched as chunked
+// parallel-for batches, and per-worker frontier shards — indexed by the
+// pool's worker IDs — replace locked appends, so the small-frontier tail
+// rounds that dominate the O(log log n) bound pay neither goroutine
+// spawns nor mutex traffic.
 //
 // The runtime is multi-tenant: the pool is shared by any number of
 // concurrent jobs. Batch dispatch rotates across helper channels so

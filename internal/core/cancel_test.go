@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -75,35 +76,21 @@ func TestPeelAbortsWithinOneRound(t *testing.T) {
 	}
 }
 
-// TestSubtablesCtxCancel exercises the subround-barrier checks of both
-// subtable peelers.
+// TestSubtablesCtxCancel exercises the subround-barrier checks of the
+// subtable peeler.
 func TestSubtablesCtxCancel(t *testing.T) {
 	g := hypergraph.Partitioned(3*40000, 80000, 3, rng.New(7))
-	for _, tc := range []struct {
-		name string
-		run  func(ctx context.Context) error
-	}{
-		{"Subtables", func(ctx context.Context) error {
-			_, err := SubtablesCtx(ctx, g, 2, Options{})
-			return err
-		}},
-		{"SubtablesOriented", func(ctx context.Context) error {
-			_, _, err := SubtablesOrientedCtx(ctx, g, 2, Options{})
-			return err
-		}},
-	} {
-		// Uncanceled: matches the ctx-free entry point.
-		if err := tc.run(context.Background()); err != nil {
-			t.Fatalf("%s(Background): %v", tc.name, err)
-		}
-		// Canceled after 2 subround barriers: stops at the 3rd check.
-		cc := &barrierCtx{cancelAfter: 2}
-		if err := tc.run(cc); !errors.Is(err, context.Canceled) {
-			t.Fatalf("%s(canceled): err = %v, want Canceled", tc.name, err)
-		}
-		if got := cc.calls.Load(); got != 3 {
-			t.Fatalf("%s: %d Err() calls after cancellation, want exactly 3", tc.name, got)
-		}
+	// Uncanceled: matches the ctx-free entry point.
+	if _, err := SubtablesCtx(context.Background(), g, 2, Options{}); err != nil {
+		t.Fatalf("SubtablesCtx(Background): %v", err)
+	}
+	// Canceled after 2 subround barriers: stops at the 3rd check.
+	cc := &barrierCtx{cancelAfter: 2}
+	if _, err := SubtablesCtx(cc, g, 2, Options{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("SubtablesCtx(canceled): err = %v, want Canceled", err)
+	}
+	if got := cc.calls.Load(); got != 3 {
+		t.Fatalf("%d Err() calls after cancellation, want exactly 3", got)
 	}
 }
 
@@ -146,5 +133,54 @@ func TestParallelCtxMatchesParallel(t *testing.T) {
 	if got.Rounds != want.Rounds || got.CoreVertices != want.CoreVertices || got.CoreEdges != want.CoreEdges {
 		t.Fatalf("ParallelCtx diverged: got rounds=%d core=(%d,%d), want rounds=%d core=(%d,%d)",
 			got.Rounds, got.CoreVertices, got.CoreEdges, want.Rounds, want.CoreVertices, want.CoreEdges)
+	}
+}
+
+// TestEveryPeelCancels extends the barrier count to every core peel and
+// both scan policies: a pre-canceled peel returns before it allocates,
+// and a peel canceled after N barriers returns at the very next check.
+func TestEveryPeelCancels(t *testing.T) {
+	g := hypergraph.Uniform(30000, 21000, 3, rng.New(12))
+	gp := hypergraph.Partitioned(3*10000, 21000, 3, rng.New(13))
+	for _, scan := range []ScanPolicy{Frontier, FullScan} {
+		opts := Options{Scan: scan}
+		for _, tc := range []struct {
+			name string
+			run  func(ctx context.Context) (any, error)
+		}{
+			{"Parallel", func(ctx context.Context) (any, error) { return ParallelCtx(ctx, g, 2, opts) }},
+			{"ParallelOrder", func(ctx context.Context) (any, error) { return ParallelOrderCtx(ctx, g, 2, opts) }},
+			{"Subtables", func(ctx context.Context) (any, error) { return SubtablesCtx(ctx, gp, 2, opts) }},
+		} {
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			allocs := testing.AllocsPerRun(5, func() {
+				if _, err := tc.run(ctx); !errors.Is(err, context.Canceled) {
+					t.Fatalf("%s scan %d (canceled): err = %v", tc.name, scan, err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("%s scan %d: canceled peel allocated %v times", tc.name, scan, allocs)
+			}
+
+			full := &barrierCtx{cancelAfter: 1 << 30}
+			if _, err := tc.run(full); err != nil {
+				t.Fatal(err)
+			}
+			total := full.calls.Load()
+			for _, allow := range []int64{1, total / 2, total - 1} {
+				cc := &barrierCtx{cancelAfter: allow}
+				res, err := tc.run(cc)
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("%s scan %d canceled after %d of %d: err = %v", tc.name, scan, allow, total, err)
+				}
+				if got := cc.calls.Load(); got != allow+1 {
+					t.Errorf("%s scan %d canceled after %d: %d Err() calls, want %d", tc.name, scan, allow, got, allow+1)
+				}
+				if !reflect.ValueOf(res).IsNil() {
+					t.Errorf("%s scan %d: canceled peel returned a result", tc.name, scan)
+				}
+			}
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/hypergraph"
+	"repro/internal/parallel"
 	"repro/internal/rng"
 )
 
@@ -145,18 +146,22 @@ func TestCorenessQuick(t *testing.T) {
 
 func TestSubtableFullScanAgrees(t *testing.T) {
 	g := partitionedGraph(60000, 42000, 4, 63)
-	a := Subtables(g, 2, Options{Scan: Frontier})
-	b := Subtables(g, 2, Options{Scan: FullScan})
-	if a.Subrounds != b.Subrounds || a.Rounds != b.Rounds {
-		t.Errorf("scan policies disagree: subrounds %d/%d rounds %d/%d",
-			a.Subrounds, b.Subrounds, a.Rounds, b.Rounds)
-	}
-	if a.CoreVertices != b.CoreVertices {
-		t.Errorf("cores differ: %d vs %d", a.CoreVertices, b.CoreVertices)
-	}
-	for i := range a.SurvivorHistory {
-		if a.SurvivorHistory[i] != b.SurvivorHistory[i] {
-			t.Fatalf("subround %d: histories differ", i+1)
+	for _, workers := range []int{1, 2, 3, 8} {
+		pool := parallel.NewPool(workers)
+		a := Subtables(g, 2, Options{Scan: Frontier, Pool: pool})
+		b := Subtables(g, 2, Options{Scan: FullScan, Pool: pool})
+		pool.Close()
+		if a.Subrounds != b.Subrounds || a.Rounds != b.Rounds {
+			t.Errorf("W=%d: scan policies disagree: subrounds %d/%d rounds %d/%d",
+				workers, a.Subrounds, b.Subrounds, a.Rounds, b.Rounds)
+		}
+		if a.CoreVertices != b.CoreVertices {
+			t.Errorf("W=%d: cores differ: %d vs %d", workers, a.CoreVertices, b.CoreVertices)
+		}
+		for i := range a.SurvivorHistory {
+			if a.SurvivorHistory[i] != b.SurvivorHistory[i] {
+				t.Fatalf("W=%d subround %d: histories differ", workers, i+1)
+			}
 		}
 	}
 }

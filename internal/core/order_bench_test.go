@@ -47,7 +47,7 @@ func BenchmarkOrderedPeel(b *testing.B) {
 
 // BenchmarkPhaseAFilter isolates the round-loop's Phase A — filtering
 // the frontier into the peel set — in its serial pre-refactor form
-// against the sharded parallel form roundLoop.collect now uses. The
+// against the sharded parallel form of the round kernel's select pass. The
 // small size models the O(log log n) tail rounds: at n ≤ grain the
 // pooled filter runs inline on the submitter, so the tail pays no
 // dispatch and must show no regression.

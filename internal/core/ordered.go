@@ -66,7 +66,8 @@ func (r *OrderedResult) RoundSegment(t int) []uint32 {
 // MPHF and Bloomier builders consume. See OrderedResult for the
 // determinism and elimination-order contracts.
 //
-// Phase B runs as two sub-phases per round. First every peel-set vertex
+// It runs on the round kernel with Parallel's select pass; only the
+// peel differs, as two sub-phases per round. First every peel-set vertex
 // claims its live edges with an atomic min on the FreeVertex slot, so
 // when several endpoints of an edge peel in the same round the minimum
 // vertex id wins regardless of scheduling — the step that makes the
@@ -74,7 +75,7 @@ func (r *OrderedResult) RoundSegment(t int) []uint32 {
 // not. Then each edge's unique winner settles it: marks it dead, tags
 // its round, and decrements the other endpoints' degrees. (Rounds that
 // would run inline anyway — 1-worker pools and grain-sized tail rounds —
-// use a merged single pass instead; see the round loop.) PeelOrder is
+// use a merged single pass instead; see the peel action.) PeelOrder is
 // reconstructed after the last round with a counting sort over the
 // round tags, which yields every segment already sorted by edge id —
 // the same determinism trick as the stable parallel counting sort in
@@ -94,20 +95,12 @@ func ParallelOrder(g *hypergraph.Hypergraph, k int, opts Options) *OrderedResult
 //
 //peelvet:deterministic
 func ParallelOrderCtx(ctx context.Context, g *hypergraph.Hypergraph, k int, opts Options) (*OrderedResult, error) {
-	if err := ctx.Err(); err != nil {
+	kern, err := NewKernel(ctx, opts, 1, g.N)
+	if err != nil {
 		return nil, err
 	}
 	s := newCoreState(g, k)
-	maxRounds := opts.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = Deadline
-	}
-	grain := opts.Grain
-	if grain <= 0 {
-		grain = 2048
-	}
-	pool, release := opts.pool()
-	defer release()
+	pool := kern.Pool()
 
 	res := &OrderedResult{
 		FreeVertex: make([]uint32, g.M),
@@ -117,21 +110,10 @@ func ParallelOrderCtx(ctx context.Context, g *hypergraph.Hypergraph, k int, opts
 		res.FreeVertex[e] = NoVertex
 	}
 	claim := res.FreeVertex // the claim array IS the orientation
-	alive := g.N
 
-	loop := newRoundLoop(s, g, pool, grain, opts.Scan)
-
-	for round := 1; round <= maxRounds; round++ {
-		// Round barrier cancellation check (one ctx.Err() per round).
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		peelSet := loop.collect()
-		if len(peelSet) == 0 {
-			break
-		}
-		epoch := uint32(round)
-		// Phase B removes the peel set under the minimum-endpoint claim
+	err = kern.RunCtx(ctx, s.pick, func(peelSet []uint32) int {
+		round := int32(kern.Round())
+		// The peel removes the peel set under the minimum-endpoint claim
 		// rule: when several endpoints of an edge peel in the same round,
 		// the smallest vertex id frees it — a scheduling-independent
 		// tie-break, so the orientation is identical at every worker
@@ -148,16 +130,14 @@ func ParallelOrderCtx(ctx context.Context, g *hypergraph.Hypergraph, k int, opts
 		//
 		//   - parallel: two sub-phases with a barrier between. B1 bids
 		//     for every live incident edge with an atomic min; B2 lets
-		//     each edge's unique winner settle it (the edead mark, round
-		//     tag, and order-shard append are single-writer; only degree
-		//     decrements and frontier tags stay atomic). Dead edges keep
-		//     the orientation of the round that freed them — B1 skips
-		//     them, and their claims can never equal a this-round vertex
-		//     in B2. A vertex listed twice in one edge settles it once
-		//     (the edead re-check).
+		//     each edge's unique winner settle it (the edead mark and
+		//     round tag are single-writer; only degree decrements and
+		//     enlisting stay atomic). Dead edges keep the orientation of
+		//     the round that freed them — B1 skips them, and their claims
+		//     can never equal a this-round vertex in B2. A vertex listed
+		//     twice in one edge settles it once (the edead re-check).
 		if pool.Workers() == 1 || len(peelSet) <= grain {
 			slices.Sort(peelSet)
-			localNext := loop.bufs.next[0]
 			for _, v := range peelSet {
 				for _, e := range g.VertexEdges(int(v)) {
 					if s.edead[e] != 0 {
@@ -165,63 +145,52 @@ func ParallelOrderCtx(ctx context.Context, g *hypergraph.Hypergraph, k int, opts
 					}
 					s.edead[e] = 1
 					claim[e] = v
-					res.RoundOf[e] = int32(round)
+					res.RoundOf[e] = round
 					for _, u := range g.EdgeVertices(int(e)) {
 						if u == v {
 							continue
 						}
 						s.deg[u]--
-						if loop.scan == Frontier && s.deg[u] < s.k && loop.inFrontier[u] != epoch {
-							loop.inFrontier[u] = epoch
-							localNext = append(localNext, u)
+						if s.deg[u] < s.k {
+							kern.Enlist(0, u)
 						}
 					}
 				}
 			}
-			loop.bufs.next[0] = localNext
-		} else {
-			pool.For(len(peelSet), grain, func(_, lo, hi int) {
-				for i := lo; i < hi; i++ {
-					v := peelSet[i]
-					for _, e := range g.VertexEdges(int(v)) {
-						if s.edead[e] == 0 {
-							claimMin(&claim[e], v)
-						}
-					}
-				}
-			})
-			pool.For(len(peelSet), grain, func(w, lo, hi int) {
-				localNext := loop.bufs.next[w]
-				for i := lo; i < hi; i++ {
-					v := peelSet[i]
-					for _, e := range g.VertexEdges(int(v)) {
-						if claim[e] != v || s.edead[e] != 0 {
-							continue
-						}
-						s.edead[e] = 1
-						res.RoundOf[e] = int32(round)
-						for _, u := range g.EdgeVertices(int(e)) {
-							if u == v {
-								continue
-							}
-							d := atomic.AddInt32(&s.deg[u], -1)
-							if loop.scan == Frontier && d < s.k {
-								if atomic.SwapUint32(&loop.inFrontier[u], epoch) != epoch {
-									localNext = append(localNext, u)
-								}
-							}
-						}
-					}
-				}
-				loop.bufs.next[w] = localNext
-			})
+			return len(peelSet)
 		}
-
-		alive -= len(peelSet)
-		res.Rounds = round
-		res.SurvivorHistory = append(res.SurvivorHistory, alive)
-		loop.advance()
+		pool.For(len(peelSet), grain, func(_, lo, hi int) {
+			for _, v := range peelSet[lo:hi] {
+				for _, e := range g.VertexEdges(int(v)) {
+					if s.edead[e] == 0 {
+						claimMin(&claim[e], v)
+					}
+				}
+			}
+		})
+		pool.For(len(peelSet), grain, func(w, lo, hi int) {
+			for _, v := range peelSet[lo:hi] {
+				for _, e := range g.VertexEdges(int(v)) {
+					if claim[e] != v || s.edead[e] != 0 {
+						continue
+					}
+					s.edead[e] = 1
+					res.RoundOf[e] = round
+					for _, u := range g.EdgeVertices(int(e)) {
+						if u != v && atomic.AddInt32(&s.deg[u], -1) < s.k {
+							kern.Enlist(w, u)
+						}
+					}
+				}
+			}
+		})
+		return len(peelSet)
+	})
+	if err != nil {
+		return nil, err
 	}
+	res.Rounds = kern.Rounds
+	res.SurvivorHistory = survivors(g.N, kern.Peeled)
 
 	// Reconstruct the round-major order from the round tags with a
 	// counting sort over rounds: RoundStart is the prefix sum of the

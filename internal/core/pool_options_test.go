@@ -1,27 +1,26 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/parallel"
 )
 
-// TestParallelWorkersOption checks that a private pool (Options.Workers)
-// and an explicit shared pool (Options.Pool) both produce exactly the
-// result of the default-pool run and the sequential peeler: same rounds,
-// same survivor history, same core — on both scan policies.
+// TestParallelWorkersOption checks that explicit pools of several sizes
+// (Options.Pool) produce exactly the result of the default-pool run and
+// the sequential peeler: same rounds, same survivor history, same core —
+// on both scan policies.
 func TestParallelWorkersOption(t *testing.T) {
 	g := uniformGraph(30000, 21000, 4, 30)
 	seq := Sequential(g, 2)
-	shared := parallel.NewPool(3)
-	defer shared.Close()
 	for _, scan := range []ScanPolicy{Frontier, FullScan} {
 		base := Parallel(g, 2, Options{Scan: scan})
-		for name, opts := range map[string]Options{
-			"workers": {Scan: scan, Workers: 3},
-			"pool":    {Scan: scan, Pool: shared},
-		} {
-			got := Parallel(g, 2, opts)
+		for _, workers := range []int{1, 3} {
+			name := fmt.Sprintf("pool%d", workers)
+			pool := parallel.NewPool(workers)
+			got := Parallel(g, 2, Options{Scan: scan, Pool: pool})
+			pool.Close()
 			if got.Rounds != base.Rounds {
 				t.Errorf("scan %v %s: rounds %d != %d", scan, name, got.Rounds, base.Rounds)
 			}
@@ -48,13 +47,14 @@ func TestParallelWorkersOption(t *testing.T) {
 	}
 }
 
-// TestSubtablesWorkersOption checks the same for the subtable peelers: a
-// resized pool must not change subrounds, history, or the orientation's
-// validity.
+// TestSubtablesWorkersOption checks the same for the subtable peeler: a
+// resized pool must not change subrounds or history.
 func TestSubtablesWorkersOption(t *testing.T) {
 	g := partitionedGraph(20000, 14000, 4, 31)
 	base := Subtables(g, 2, Options{})
-	got := Subtables(g, 2, Options{Workers: 3})
+	pool := parallel.NewPool(3)
+	defer pool.Close()
+	got := Subtables(g, 2, Options{Pool: pool})
 	if got.Subrounds != base.Subrounds || got.Rounds != base.Rounds {
 		t.Errorf("subrounds/rounds (%d,%d) != (%d,%d)",
 			got.Subrounds, got.Rounds, base.Subrounds, base.Rounds)
@@ -64,13 +64,5 @@ func TestSubtablesWorkersOption(t *testing.T) {
 			t.Errorf("subround %d: survivors %d != %d",
 				i+1, got.SurvivorHistory[i], base.SurvivorHistory[i])
 		}
-	}
-
-	res, orient := SubtablesOriented(g, 2, Options{Workers: 3})
-	if res.Subrounds != base.Subrounds {
-		t.Errorf("oriented subrounds %d != %d", res.Subrounds, base.Subrounds)
-	}
-	if !ValidateOrientation(g, orient, 2) {
-		t.Error("orientation invalid under resized pool")
 	}
 }

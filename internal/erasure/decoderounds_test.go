@@ -3,7 +3,9 @@ package erasure
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/parallel"
 	"repro/internal/rng"
@@ -15,8 +17,14 @@ import (
 // subtraction) dominates, and an above-threshold failure where both must
 // report the same recovered count.
 func TestDecodeRoundsMatchesSerial(t *testing.T) {
-	pool := parallel.NewPool(4)
-	defer pool.Close()
+	for _, workers := range []int{1, 2, 3, 8} {
+		pool := parallel.NewPool(workers)
+		decodeRoundsMatchesSerial(t, pool)
+		pool.Close()
+	}
+}
+
+func decodeRoundsMatchesSerial(t *testing.T, pool *parallel.Pool) {
 	const cells = 6000
 	code := NewCode(cells, 3, 77)
 	gen := rng.New(123)
@@ -42,14 +50,14 @@ func TestDecodeRoundsMatchesSerial(t *testing.T) {
 		errP := code.DecodeWithPool(gotP, presentP, checks, pool)
 		errS := code.Decode(gotS, presentS, checks)
 		if (errP == nil) != (errS == nil) {
-			t.Fatalf("losses=%d: parallel err=%v, serial err=%v", losses, errP, errS)
+			t.Fatalf("W=%d losses=%d: parallel err=%v, serial err=%v", pool.Workers(), losses, errP, errS)
 		}
 		if errP != nil {
 			continue
 		}
 		for i := range data {
 			if gotP[i] != data[i] {
-				t.Fatalf("losses=%d: parallel decode restored symbol %d wrong", losses, i)
+				t.Fatalf("W=%d losses=%d: parallel decode restored symbol %d wrong", pool.Workers(), losses, i)
 			}
 		}
 	}
@@ -65,7 +73,7 @@ func TestDecodeRoundsMatchesSerial(t *testing.T) {
 		got[i], present[i] = 0, false
 	}
 	if err := code.DecodeWithPool(got, present, checks, pool); !errors.Is(err, ErrDecodeFailed) {
-		t.Fatalf("above-threshold parallel decode: err = %v, want ErrDecodeFailed", err)
+		t.Fatalf("W=%d above-threshold parallel decode: err = %v, want ErrDecodeFailed", pool.Workers(), err)
 	}
 }
 
@@ -89,6 +97,80 @@ func TestDecodeCtxCancel(t *testing.T) {
 	present := make([]bool, len(data))
 	if err := code.DecodeCtx(ctx, data, present, checks, pool); !errors.Is(err, context.Canceled) {
 		t.Fatalf("DecodeCtx(canceled): %v", err)
+	}
+}
+
+// barrierCtx is a context.Context that reports cancellation starting at
+// its nth Err() call. The recovery peel checks ctx exactly once per
+// round barrier, so the call count measures how many barriers a decode
+// crossed, independent of scheduling.
+type barrierCtx struct {
+	calls       atomic.Int64
+	cancelAfter int64
+}
+
+func (c *barrierCtx) Deadline() (time.Time, bool) { return time.Time{}, false }
+func (c *barrierCtx) Done() <-chan struct{}       { return nil }
+func (c *barrierCtx) Value(any) any               { return nil }
+func (c *barrierCtx) Err() error {
+	if c.calls.Add(1) > c.cancelAfter {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestDecodeRoundsCancels checks the recovery peel's cancellation: a
+// pre-canceled peel returns before it allocates, and a decode canceled
+// after N round barriers returns at the very next check.
+func TestDecodeRoundsCancels(t *testing.T) {
+	pool := parallel.NewPool(2)
+	defer pool.Close()
+	code := NewCode(3000, 3, 17)
+	gen := rng.New(5)
+	data := make([]uint64, 9000)
+	for i := range data {
+		data[i] = gen.Uint64()
+	}
+	checks := code.Encode(data)
+	lost := rng.New(6).Perm(len(data))[:2000]
+	run := func(ctx context.Context) error {
+		got := append([]uint64(nil), data...)
+		present := make([]bool, len(data))
+		for i := range present {
+			present[i] = true
+		}
+		for _, i := range lost {
+			got[i], present[i] = 0, false
+		}
+		return code.DecodeCtx(ctx, got, present, checks, pool)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	work := make([]Cell, code.Cells())
+	present := make([]bool, len(data))
+	allocs := testing.AllocsPerRun(5, func() {
+		if err := code.decodeRounds(ctx, work, data, present, 1, pool); !errors.Is(err, context.Canceled) {
+			t.Fatalf("decodeRounds(canceled): err = %v", err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("canceled recovery peel allocated %v times", allocs)
+	}
+
+	full := &barrierCtx{cancelAfter: 1 << 30}
+	if err := run(full); err != nil {
+		t.Fatalf("reference decode: %v", err)
+	}
+	total := full.calls.Load()
+	for _, allow := range []int64{1, total / 2, total - 1} {
+		cc := &barrierCtx{cancelAfter: allow}
+		if err := run(cc); !errors.Is(err, context.Canceled) {
+			t.Fatalf("canceled after %d of %d: err = %v", allow, total, err)
+		}
+		if got := cc.calls.Load(); got != allow+1 {
+			t.Errorf("canceled after %d: %d Err() calls, want %d", allow, got, allow+1)
+		}
 	}
 }
 

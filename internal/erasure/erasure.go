@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"repro/internal/core"
 	"repro/internal/parallel"
 	"repro/internal/rng"
 )
@@ -265,62 +266,44 @@ func (c *Code) DecodeCtx(ctx context.Context, data []uint64, present []bool, che
 	return c.decodeRounds(ctx, work, data, present, missing, pool)
 }
 
-// decodeRounds recovers the missing symbols with a round-synchronous
-// parallel peel on the pool — the recovery-phase analog of the IBLT's
-// frontier subround decoder. Every cell is a candidate once; each round
-// examines the candidate set in parallel, recovers the pure cells'
-// symbols, subtracts them atomically, and re-enlists the touched cells
-// for the next round. Work is proportional to cells + peeling work, like
-// the serial peel, and the round structure matches the paper's analysis
-// (O(log log n) rounds below threshold).
+// decodeRounds recovers the missing symbols with the round-synchronous
+// parallel peel on the pool: the core round kernel with the cells as
+// its one part, under the Frontier policy. Every cell is a candidate
+// once; each round examines its candidate cells in parallel, recovers the
+// pure cells' symbols, subtracts them atomically, and enlists the
+// touched cells for the next round. Work is proportional to cells +
+// peeling work, like the serial peel, and the round structure matches
+// the paper's analysis (O(log log n) rounds below threshold).
 //
 // Two disciplines make the concurrency safe:
 //
 //   - An atomic claim bitset over symbol indices guarantees each symbol
 //     is recovered and subtracted exactly once, even when several of its
 //     cells are pure in the same round (the erasure hypergraph has no
-//     subtable structure, so — unlike the IBLT subround decoder — two
-//     workers can see the same symbol pure simultaneously).
+//     subtable structure, so — unlike the IBLT decoder — two workers can
+//     see the same symbol pure simultaneously).
 //   - pureAtomic reads the checksum before the value while the
-//     subtractions below write the checksum last, so a checksum match proves the value read
-//     includes every concurrent subtraction that could have produced the
-//     matching idx/checksum pair; torn reads fail the checksum and the
-//     touched cell is simply re-examined next round (the toucher
-//     re-enlisted it).
+//     subtractions below write the checksum last, so a checksum match
+//     proves the value read includes every concurrent subtraction that
+//     could have produced the matching idx/checksum pair; torn reads fail
+//     the checksum and the touched cell is simply re-examined next round
+//     (the toucher enlisted it).
 func (c *Code) decodeRounds(ctx context.Context, work []Cell, data []uint64, present []bool, missing int, pool *parallel.Pool) error {
-	workers := pool.Workers()
-	// pending[p] != 0 while cell p sits in a candidate list; the CAS
-	// guard gives each cell at most one pending entry.
-	pending := make([]uint32, c.cells)
-	cands := make([]int, c.cells)
-	for p := range cands {
-		cands[p] = p
-		pending[p] = 1
+	kern, err := core.NewKernel(ctx, core.Options{Scan: core.Frontier, Pool: pool}, 1, c.cells)
+	if err != nil {
+		return err
 	}
 	claimed := parallel.NewBitset(len(data))
 	recovered := pool.NewCounter()
-	posBufs := make([][]int, workers)
-	relist := make([][]int, workers)
+	posBufs := make([][]int, pool.Workers())
 	for w := range posBufs {
 		posBufs[w] = make([]int, c.r)
 	}
-
-	var peel []int
-	for len(cands) > 0 {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		// Phase A (single-threaded): snapshot and clear pending flags so
-		// subtractions during Phase B can re-enlist cells.
-		peel, cands = cands, peel[:0]
-		for _, p := range peel {
-			atomic.StoreUint32(&pending[p], 0)
-		}
-		pool.For(len(peel), 512, func(w, lo, hi int) {
+	err = kern.RunCtx(ctx, nil, func(cells []uint32) int {
+		before := recovered.Sum()
+		pool.For(len(cells), 512, func(w, lo, hi int) {
 			pos := posBufs[w]
-			local := relist[w]
-			for idx := lo; idx < hi; idx++ {
-				p := peel[idx]
+			for _, p := range cells[lo:hi] {
 				i, v, ok := c.pureAtomic(&work[p])
 				if !ok {
 					continue
@@ -342,17 +325,14 @@ func (c *Code) decodeRounds(ctx context.Context, work []Cell, data []uint64, pre
 					parallel.XorUint64(&work[q].IdxSum, uint64(i+1))
 					parallel.XorUint64(&work[q].ValueSum, v)
 					parallel.XorUint64(&work[q].CheckSum, cs)
-					if atomic.CompareAndSwapUint32(&pending[q], 0, 1) {
-						local = append(local, q)
-					}
+					kern.Enlist(w, uint32(q))
 				}
 			}
-			relist[w] = local
 		})
-		for w := range relist {
-			cands = append(cands, relist[w]...)
-			relist[w] = relist[w][:0]
-		}
+		return int(recovered.Sum() - before)
+	})
+	if err != nil {
+		return err
 	}
 	if got := int(recovered.Sum()); got != missing {
 		return fmt.Errorf("%w (recovered %d of %d)", ErrDecodeFailed, got, missing)

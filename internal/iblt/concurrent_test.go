@@ -1,15 +1,16 @@
 package iblt
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
 	"repro/internal/parallel"
 )
 
-// TestDecodeWithPoolMatchesSerial checks both pool-threaded decoders
-// against the serial decoder on shared and failing loads: same recovered
-// set (peeling is confluent), same completeness.
+// TestDecodeWithPoolMatchesSerial checks both scan policies of the
+// parallel decoder against the serial decoder on shared and failing
+// loads: same recovered set (peeling is confluent), same completeness.
 func TestDecodeWithPoolMatchesSerial(t *testing.T) {
 	pool := parallel.NewPool(3)
 	defer pool.Close()
@@ -20,19 +21,25 @@ func TestDecodeWithPoolMatchesSerial(t *testing.T) {
 		master.InsertAllWithPool(keys, pool)
 
 		addedS, _, okS := master.Clone().Decode()
-		full := master.Clone().DecodeParallelWithPool(pool)
-		frontier := master.Clone().DecodeParallelFrontierWithPool(pool)
+		full, err := master.Clone().DecodeParallelCtx(context.Background(), pool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frontier, err := master.Clone().DecodeParallelFrontierCtx(context.Background(), pool)
+		if err != nil {
+			t.Fatal(err)
+		}
 
 		if full.Complete != okS || frontier.Complete != okS {
 			t.Errorf("load %v: complete serial=%v full=%v frontier=%v",
 				load, okS, full.Complete, frontier.Complete)
 		}
 		if !equalSets(full.Added, addedS) {
-			t.Errorf("load %v: DecodeParallelWithPool recovered %d keys, serial %d",
+			t.Errorf("load %v: DecodeParallelCtx recovered %d keys, serial %d",
 				load, len(full.Added), len(addedS))
 		}
 		if !equalSets(frontier.Added, addedS) {
-			t.Errorf("load %v: DecodeParallelFrontierWithPool recovered %d keys, serial %d",
+			t.Errorf("load %v: DecodeParallelFrontierCtx recovered %d keys, serial %d",
 				load, len(frontier.Added), len(addedS))
 		}
 	}
@@ -53,11 +60,13 @@ func TestConcurrentDecodesSharedPool(t *testing.T) {
 			keys := randomKeys(2000+100*j, uint64(1000+j))
 			table := New(2*len(keys)+len(keys)/2, 3, uint64(50+j))
 			table.InsertAllWithPool(keys, p)
-			var res *ParallelResult
-			if j%2 == 0 {
-				res = table.DecodeParallelWithPool(p)
-			} else {
-				res = table.DecodeParallelFrontierWithPool(p)
+			decode := table.DecodeParallelCtx
+			if j%2 == 1 {
+				decode = table.DecodeParallelFrontierCtx
+			}
+			res, err := decode(context.Background(), p)
+			if err != nil {
+				return err
 			}
 			if !res.Complete {
 				return fmt.Errorf("job %d: decode incomplete", j)
@@ -115,7 +124,11 @@ func BenchmarkConcurrentDecode(b *testing.B) {
 
 	decodeJob := func(p *parallel.Pool, reps int) error {
 		for i := 0; i < reps; i++ {
-			if res := master.Clone().DecodeParallelFrontierWithPool(p); !res.Complete {
+			res, err := master.Clone().DecodeParallelFrontierCtx(context.Background(), p)
+			if err != nil {
+				return err
+			}
+			if !res.Complete {
 				return fmt.Errorf("decode failed")
 			}
 		}

@@ -1,0 +1,164 @@
+package iblt
+
+import (
+	"context"
+	"sync/atomic"
+
+	"repro/internal/core"
+	"repro/internal/parallel"
+)
+
+// ParallelResult reports a parallel decode.
+type ParallelResult struct {
+	Added     []uint64
+	Removed   []uint64
+	Rounds    int  // full rounds executed that recovered at least one key
+	Subrounds int  // productive subrounds (last subround that recovered a key)
+	Complete  bool // table fully decoded
+}
+
+// DecodeParallel is DecodeParallelCtx on the process-wide default pool.
+func (t *Table) DecodeParallel() *ParallelResult {
+	res, _ := t.DecodeParallelCtx(context.Background(), parallel.Default())
+	return res
+}
+
+// DecodeParallelCtx peels the table with the paper's GPU recovery
+// algorithm: the parallel decoder under the FullScan policy, where every
+// subround scans its whole subtable — one thread per cell.
+func (t *Table) DecodeParallelCtx(ctx context.Context, pool *parallel.Pool) (*ParallelResult, error) {
+	return t.decodeCtx(ctx, core.FullScan, pool)
+}
+
+// DecodeParallelFrontier is DecodeParallelFrontierCtx on the
+// process-wide default pool.
+func (t *Table) DecodeParallelFrontier() *ParallelResult {
+	res, _ := t.DecodeParallelFrontierCtx(context.Background(), parallel.Default())
+	return res
+}
+
+// DecodeParallelFrontierCtx is the work-efficient parallel decoder, under
+// the Frontier policy: after one scan of the table, a subround examines
+// only the cells touched by a deletion since they were last examined.
+// Total work becomes proportional to table size plus peeling work, like
+// the serial decoder. This is an engineering extension beyond the paper,
+// the runtime's and the server's decoder.
+func (t *Table) DecodeParallelFrontierCtx(ctx context.Context, pool *parallel.Pool) (*ParallelResult, error) {
+	return t.decodeCtx(ctx, core.Frontier, pool)
+}
+
+// recoveryShards holds the per-worker result buffers one decode job owns
+// and reuses across subrounds: worker w appends recovered keys only to
+// index w (the pool serializes same-ID chunks within a call), and the
+// subround barrier drains every shard — no mutex in the scan, and no
+// allocation after the first subround. The buffers belong to the decode
+// call, so concurrent decode jobs sharing one pool never collide.
+type recoveryShards struct {
+	added   [][]uint64
+	removed [][]uint64
+}
+
+func newRecoveryShards(workers int) *recoveryShards {
+	return &recoveryShards{
+		added:   make([][]uint64, workers),
+		removed: make([][]uint64, workers),
+	}
+}
+
+// drainInto appends every shard to the result, returning the number of
+// keys recovered since the last drain, and resets the shards (keeping
+// capacity).
+func (s *recoveryShards) drainInto(res *ParallelResult) int {
+	got := 0
+	for w := range s.added {
+		got += len(s.added[w]) + len(s.removed[w])
+		res.Added = append(res.Added, s.added[w]...)
+		res.Removed = append(res.Removed, s.removed[w]...)
+		s.added[w] = s.added[w][:0]
+		s.removed[w] = s.removed[w][:0]
+	}
+	return got
+}
+
+// decodeCtx is the parallel decoder: the subround peel of Appendix B on
+// the core round kernel, with the table's cells as items and its r
+// subtables as parts. Subround j examines subtable j's candidate cells
+// in parallel and deletes each pure cell's key from all r subtables with
+// atomic updates. A key occupies exactly one cell of subtable j, so it
+// is recovered at most once per subround — the paper's reason for the
+// subtable layout — and deleting it changes no other subtable-j cell, so
+// no select pass is needed. Concurrent deletions into one cell are
+// serialized by the atomics; a cell read while a deletion races it fails
+// its checksum and is examined again in a later subround, which the
+// deleter's enlisting (Frontier) or the next full scan (FullScan)
+// guarantees, since a raced deletion means the round recovered a key.
+//
+// scan only changes the work profile: the recovered sets and
+// completeness are identical, and so are the counts in the common case.
+// Under Frontier a candidate examined mid-round reflects deletions from
+// the current round, which can shift the subround counts; peeling
+// confluence makes that harmless.
+//
+// All working state is owned by the call, so many decodes may run
+// concurrently on one shared pool (e.g. as parallel.Group jobs). On
+// cancellation, checked at every subround barrier, it returns
+// (nil, ctx.Err()), and the partially decoded table must be discarded.
+func (t *Table) decodeCtx(ctx context.Context, scan core.ScanPolicy, pool *parallel.Pool) (*ParallelResult, error) {
+	kern, err := core.NewKernel(ctx, core.Options{Scan: scan, Pool: pool}, t.r, t.subSize)
+	if err != nil {
+		return nil, err
+	}
+	res := &ParallelResult{}
+	shards := newRecoveryShards(pool.Workers())
+	err = kern.RunCtx(ctx, nil, func(cells []uint32) int {
+		pool.For(len(cells), 512, func(w, lo, hi int) {
+			added, removed := shards.added[w], shards.removed[w]
+			for _, cell := range cells[lo:hi] {
+				i := int(cell)
+				x, sign, isPure := t.pureAtomic(i)
+				if !isPure {
+					continue
+				}
+				cs := t.checksum(x)
+				for jj := 0; jj < t.r; jj++ {
+					c := t.cellIndex(x, jj)
+					atomic.AddInt64(&t.count[c], -sign)
+					parallel.XorUint64(&t.keySum[c], x)
+					parallel.XorUint64(&t.checkSum[c], cs)
+					if c != i {
+						kern.Enlist(w, uint32(c))
+					}
+				}
+				if sign > 0 {
+					added = append(added, x)
+				} else {
+					removed = append(removed, x)
+				}
+			}
+			shards.added[w], shards.removed[w] = added, removed
+		})
+		return shards.drainInto(res)
+	})
+	if err != nil {
+		return nil, err
+	}
+	res.Rounds, res.Subrounds = kern.Rounds, kern.Subrounds
+	res.Complete = t.empty()
+	return res, nil
+}
+
+// pureAtomic is the atomic-read variant of pure used by the parallel
+// decoder. A torn read across the three fields can only produce a
+// checksum mismatch (the checksum is an independent 64-bit hash), never
+// a bogus recovery.
+func (t *Table) pureAtomic(i int) (x uint64, sign int64, ok bool) {
+	c := atomic.LoadInt64(&t.count[i])
+	if c != 1 && c != -1 {
+		return 0, 0, false
+	}
+	x = atomic.LoadUint64(&t.keySum[i])
+	if x == 0 || t.checksum(x) != atomic.LoadUint64(&t.checkSum[i]) {
+		return 0, 0, false
+	}
+	return x, c, true
+}

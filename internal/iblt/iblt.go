@@ -12,17 +12,21 @@
 // holds w.h.p. while load = keys/cells stays below c*(2,r) (≈ 0.818 for
 // r = 3, ≈ 0.772 for r = 4).
 //
-// Two recovery procedures are provided, mirroring the paper's serial CPU
-// and parallel GPU implementations:
+// Recovery mirrors the paper's serial CPU and parallel GPU
+// implementations:
 //
 //   - Decode: queue-driven serial peeling, O(cells + keys·r).
-//   - DecodeParallel: round-based peeling that iterates the r subtables
-//     serially within a round and scans each subtable's cells in parallel,
-//     deleting recovered keys from the other subtables with atomic
-//     XOR/add updates. Because a key occupies exactly one cell per
-//     subtable, no key can be recovered twice in one subround — the
-//     paper's reason for the subtable layout (Appendix B analyzes this
-//     variant's subround complexity).
+//   - The parallel decoder: round-based peeling on the core round
+//     kernel that iterates the r subtables serially within a round and
+//     examines each subtable's cells in parallel, deleting recovered
+//     keys from the other subtables with atomic XOR/add updates.
+//     Because a key occupies exactly one cell per subtable, no key can
+//     be recovered twice in one subround — the paper's reason for the
+//     subtable layout (Appendix B analyzes this variant's subround
+//     complexity). It has two scan policies: DecodeParallelCtx rescans
+//     every cell of the subtable each subround (the paper's GPU
+//     strategy), and DecodeParallelFrontierCtx examines only the cells
+//     touched since their last examination. They recover the same keys.
 //
 // Subtract turns two tables into a difference table whose decode returns
 // the symmetric difference of the encoded sets (set reconciliation,
@@ -344,142 +348,4 @@ func (t *Table) empty() bool {
 		}
 	}
 	return true
-}
-
-// ParallelResult reports a DecodeParallel run.
-type ParallelResult struct {
-	Added     []uint64
-	Removed   []uint64
-	Rounds    int  // full rounds executed that recovered at least one key
-	Subrounds int  // productive subrounds (last subround that recovered a key)
-	Complete  bool // table fully decoded
-}
-
-// DecodeParallel peels the table with the paper's GPU recovery algorithm
-// on the process-wide default pool; see DecodeParallelWithPool.
-func (t *Table) DecodeParallel() *ParallelResult {
-	return t.DecodeParallelWithPool(parallel.Default())
-}
-
-// recoveryShards holds the per-worker result buffers one decode job owns
-// and reuses across subrounds: worker w appends recovered keys only to
-// index w (the pool serializes same-ID chunks within a call), and the
-// subround barrier drains every shard — no mutex in the scan, and no
-// allocation after the first subround. The buffers belong to the decode
-// call, so concurrent decode jobs sharing one pool never collide.
-type recoveryShards struct {
-	added   [][]uint64
-	removed [][]uint64
-}
-
-func newRecoveryShards(workers int) *recoveryShards {
-	return &recoveryShards{
-		added:   make([][]uint64, workers),
-		removed: make([][]uint64, workers),
-	}
-}
-
-// drainInto appends every shard to the result, returning the number of
-// keys recovered since the last drain, and resets the shards (keeping
-// capacity).
-func (s *recoveryShards) drainInto(res *ParallelResult) int {
-	got := 0
-	for w := range s.added {
-		got += len(s.added[w]) + len(s.removed[w])
-		res.Added = append(res.Added, s.added[w]...)
-		res.Removed = append(res.Removed, s.removed[w]...)
-		s.added[w] = s.added[w][:0]
-		s.removed[w] = s.removed[w][:0]
-	}
-	return got
-}
-
-// DecodeParallelWithPool peels the table with the paper's GPU recovery
-// algorithm on an explicit worker pool: rounds of r serial subrounds,
-// each subround scanning one subtable's cells in parallel and deleting
-// recovered keys from all subtables with atomic updates. Within a
-// subround each key occupies exactly one cell of the scanned subtable,
-// so it can be recovered at most once; concurrent deletions into the
-// same cell are serialized by the atomics, and a cell whose fields are
-// read while racing a deletion fails its checksum and is simply retried
-// in the next round (the per-round progress guarantee makes that retry
-// sound: a raced deletion implies the round recovered something, so
-// another round follows).
-//
-// All working state is owned by this call, so many decodes may run
-// concurrently on one shared pool (e.g. as parallel.Group jobs).
-func (t *Table) DecodeParallelWithPool(pool *parallel.Pool) *ParallelResult {
-	res, _ := t.DecodeParallelCtx(context.Background(), pool)
-	return res
-}
-
-// DecodeParallelCtx is DecodeParallelWithPool with cooperative
-// cancellation, checked at every subround barrier (the same barrier the
-// paper's round analysis counts, so a canceled decode does less than one
-// subround of extra work). On cancellation it returns (nil, ctx.Err());
-// the partially decoded table must be discarded.
-func (t *Table) DecodeParallelCtx(ctx context.Context, pool *parallel.Pool) (*ParallelResult, error) {
-	res := &ParallelResult{}
-	shards := newRecoveryShards(pool.Workers())
-	subround := 0
-	for round := 1; ; round++ {
-		recoveredThisRound := 0
-		for j := 0; j < t.r; j++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			subround++
-			base := j * t.subSize
-			pool.For(t.subSize, 1024, func(w, lo, hi int) {
-				added, removed := shards.added[w], shards.removed[w]
-				for ci := lo; ci < hi; ci++ {
-					i := base + ci
-					x, sign, isPure := t.pureAtomic(i)
-					if !isPure {
-						continue
-					}
-					// Delete x from every subtable (including this cell).
-					cs := t.checksum(x)
-					for jj := 0; jj < t.r; jj++ {
-						c := t.cellIndex(x, jj)
-						atomic.AddInt64(&t.count[c], -sign)
-						parallel.XorUint64(&t.keySum[c], x)
-						parallel.XorUint64(&t.checkSum[c], cs)
-					}
-					if sign > 0 {
-						added = append(added, x)
-					} else {
-						removed = append(removed, x)
-					}
-				}
-				shards.added[w], shards.removed[w] = added, removed
-			})
-			if got := shards.drainInto(res); got > 0 {
-				res.Subrounds = subround
-				recoveredThisRound += got
-			}
-		}
-		if recoveredThisRound == 0 {
-			break
-		}
-		res.Rounds = round
-	}
-	res.Complete = t.empty()
-	return res, nil
-}
-
-// pureAtomic is the atomic-read variant of pure used by DecodeParallel.
-// A torn read across the three fields can only produce a checksum
-// mismatch (the checksum is an independent 64-bit hash), never a bogus
-// recovery.
-func (t *Table) pureAtomic(i int) (x uint64, sign int64, ok bool) {
-	c := atomic.LoadInt64(&t.count[i])
-	if c != 1 && c != -1 {
-		return 0, 0, false
-	}
-	x = atomic.LoadUint64(&t.keySum[i])
-	if x == 0 || t.checksum(x) != atomic.LoadUint64(&t.checkSum[i]) {
-		return 0, 0, false
-	}
-	return x, c, true
 }

@@ -2,10 +2,13 @@ package iblt
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/parallel"
 )
 
 func TestDecodeParallelFrontierRoundTrip(t *testing.T) {
@@ -21,22 +24,41 @@ func TestDecodeParallelFrontierRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFrontierMatchesFullScanDecode checks the parallel decoder's two
+// scan policies against each other and against the serial decoder, at
+// several pool sizes: same recovered sets, same completeness.
 func TestFrontierMatchesFullScanDecode(t *testing.T) {
-	for _, load := range []float64{0.4, 0.75, 0.83, 0.9} {
-		cells := 9000
-		keys := randomKeys(int(load*float64(cells)), uint64(31+int(100*load)))
-		a := New(cells, 3, 77)
-		a.InsertAll(keys)
-		b := a.Clone()
-		fullScan := a.DecodeParallel()
-		frontier := b.DecodeParallelFrontier()
-		if fullScan.Complete != frontier.Complete {
-			t.Errorf("load %v: complete %v vs %v", load, fullScan.Complete, frontier.Complete)
+	ctx := context.Background()
+	for _, workers := range []int{1, 2, 3, 8} {
+		pool := parallel.NewPool(workers)
+		for _, load := range []float64{0.4, 0.75, 0.83, 0.9} {
+			cells := 9000
+			keys := randomKeys(int(load*float64(cells)), uint64(31+int(100*load)))
+			a := New(cells, 3, 77)
+			a.InsertAll(keys)
+			b := a.Clone()
+			added, _, ok := a.Clone().Decode()
+			fullScan, err := a.DecodeParallelCtx(ctx, pool)
+			if err != nil {
+				t.Fatal(err)
+			}
+			frontier, err := b.DecodeParallelFrontierCtx(ctx, pool)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fullScan.Complete != frontier.Complete {
+				t.Errorf("W=%d load %v: complete %v vs %v", workers, load, fullScan.Complete, frontier.Complete)
+			}
+			if !equalSets(fullScan.Added, frontier.Added) {
+				t.Errorf("W=%d load %v: recovery sets differ (%d vs %d keys)",
+					workers, load, len(fullScan.Added), len(frontier.Added))
+			}
+			if frontier.Complete != ok || !equalSets(frontier.Added, added) {
+				t.Errorf("W=%d load %v: parallel recovered %d keys (complete %v), serial %d (complete %v)",
+					workers, load, len(frontier.Added), frontier.Complete, len(added), ok)
+			}
 		}
-		if !equalSets(fullScan.Added, frontier.Added) {
-			t.Errorf("load %v: recovery sets differ (%d vs %d keys)",
-				load, len(fullScan.Added), len(frontier.Added))
-		}
+		pool.Close()
 	}
 }
 

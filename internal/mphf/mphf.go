@@ -78,8 +78,7 @@ func Build(keys []uint64, gamma float64, seed uint64, maxTries int) (*MPHF, erro
 // BuildWorkers is Build on a private pool of the given size (workers
 // <= 0 selects the default size). The pool is created once for ALL
 // retry attempts and closed before returning, so a 10-retry build pays
-// worker startup exactly once — the hoisted form of the per-call pool
-// spin-up that core.Options{Workers: n} would cost inside a loop.
+// worker startup exactly once rather than once per attempt.
 // Callers building many functions should instead share one pool across
 // builds via BuildWithPool (e.g. as parallel.Group jobs).
 //

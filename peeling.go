@@ -111,7 +111,7 @@ func PeelParallel(g *Hypergraph, k int) *PeelResult {
 }
 
 // PeelParallelOpts is PeelParallel with explicit options (including an
-// explicit Options.Pool or Options.Workers, which are honored here).
+// explicit Options.Pool, which is honored here).
 //
 // Deprecated: use Runtime.Peel, which adds context cancellation and
 // admission control.

@@ -571,14 +571,13 @@ func (rt *Runtime) Shutdown(ctx context.Context) error {
 }
 
 // Peel runs the round-synchronous parallel peeling process on the
-// shared pool. opts selects scan policy, round cap, and grain; its Pool
-// and Workers fields are ignored (the Runtime's pool always wins).
+// shared pool. opts selects scan policy and round cap; its Pool field is
+// ignored (the Runtime's pool always wins).
 // Cancellation is checked at every round barrier: a canceled peel stops
 // within one round of extra work and returns (nil, ctx.Err()).
 func (rt *Runtime) Peel(ctx context.Context, g *Hypergraph, k int, opts PeelOptions) (*PeelResult, error) {
 	var res *PeelResult
 	err := rt.runJob(ctx, func(ctx context.Context, pool *parallel.Pool) error {
-		opts.Workers = 0
 		opts.Pool = pool
 		var err error
 		res, err = core.ParallelCtx(ctx, g, k, opts)
@@ -599,7 +598,6 @@ func (rt *Runtime) Peel(ctx context.Context, g *Hypergraph, k int, opts PeelOpti
 func (rt *Runtime) PeelOrdered(ctx context.Context, g *Hypergraph, k int, opts PeelOptions) (*OrderedPeelResult, error) {
 	var res *OrderedPeelResult
 	err := rt.runJob(ctx, func(ctx context.Context, pool *parallel.Pool) error {
-		opts.Workers = 0
 		opts.Pool = pool
 		var err error
 		res, err = core.ParallelOrderCtx(ctx, g, k, opts)
@@ -617,7 +615,6 @@ func (rt *Runtime) PeelOrdered(ctx context.Context, g *Hypergraph, k int, opts P
 func (rt *Runtime) PeelSubtables(ctx context.Context, g *Hypergraph, k int, opts PeelOptions) (*PeelResult, error) {
 	var res *PeelResult
 	err := rt.runJob(ctx, func(ctx context.Context, pool *parallel.Pool) error {
-		opts.Workers = 0
 		opts.Pool = pool
 		var err error
 		res, err = core.SubtablesCtx(ctx, g, k, opts)

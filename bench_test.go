@@ -183,7 +183,10 @@ func BenchmarkAblationSubtableRounds(b *testing.B) {
 	})
 	b.Run("Subtables", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res := PeelSubtables(g, 2)
+			res, err := DefaultRuntime().PeelSubtables(context.Background(), g, 2, PeelOptions{})
+			if err != nil {
+				b.Fatal(err)
+			}
 			if !res.Empty() {
 				b.Fatal("peel failed")
 			}

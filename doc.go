@@ -12,8 +12,13 @@
 //
 // # Quick start
 //
+//	rt := repro.NewRuntime(repro.RuntimeOptions{})
+//	defer rt.Shutdown(context.Background())
 //	g := repro.NewUniformHypergraph(1_000_000, 700_000, 4, 42) // c = 0.7
-//	res := repro.PeelParallel(g, 2)
+//	res, err := rt.Peel(context.Background(), g, 2, repro.PeelOptions{})
+//	if err != nil {
+//		log.Fatal(err)
+//	}
 //	fmt.Println(res.Rounds, res.Empty()) // ≈13 rounds, empty 2-core
 //
 // The headline results:
@@ -67,13 +72,14 @@
 // per-request pools, goroutine spawns, or locks in the round loops; and
 // the claim-based barrier makes nested parallel-for submission from
 // inside a pool batch deadlock-free, so jobs may compose builders and
-// peelers freely. The pre-Runtime entry points (PeelParallel, the ...WithPool
-// variants, WorkerPool/JobGroup) remain as deprecated wrappers over the
-// package-default Runtime (DefaultRuntime) and an explicit pool.
+// peelers freely. The context-free conveniences (BuildMPHF,
+// BuildStaticMap, ReconcileSets, ...) run on the process-wide default
+// pool, BuildMPHF and ReconcileSets through the package-default Runtime
+// (DefaultRuntime); servers call the Runtime methods instead.
 //
 // The data-structure builders consume a peel order and an edge → vertex
-// orientation, produced by the ordered parallel peel (PeelOrdered /
-// Runtime.PeelOrdered): the round-synchronous process with a
+// orientation, produced by the ordered parallel peel
+// (Runtime.PeelOrdered): the round-synchronous process with a
 // minimum-endpoint claim rule, whose round-major PeelOrder/FreeVertex
 // output is bit-identical at every worker count. Reverse round-major
 // order is a valid elimination order for k = 2 — within a round every

@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"context"
 	"fmt"
 
 	"repro"
@@ -8,9 +9,14 @@ import (
 
 // Peeling a below-threshold hypergraph empties the 2-core in
 // O(log log n) rounds (Theorem 1 of the paper).
-func ExamplePeelParallel() {
+func ExampleRuntime_Peel() {
+	rt := repro.NewRuntime(repro.RuntimeOptions{})
+	defer rt.Shutdown(context.Background())
 	g := repro.NewUniformHypergraph(100000, 70000, 4, 42) // c = 0.7 < 0.772
-	res := repro.PeelParallel(g, 2)
+	res, err := rt.Peel(context.Background(), g, 2, repro.PeelOptions{})
+	if err != nil {
+		panic(err)
+	}
 	fmt.Println("empty core:", res.Empty())
 	fmt.Println("rounds in [11, 14]:", res.Rounds >= 11 && res.Rounds <= 14)
 	// Output:

@@ -60,8 +60,8 @@ func TestIntegrationSerializePeel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := PeelSubtables(g, 2)
-	b := PeelSubtables(loaded, 2)
+	a := core.Subtables(g, 2, core.Options{})
+	b := core.Subtables(loaded, 2, core.Options{})
 	if a.Subrounds != b.Subrounds || a.CoreVertices != b.CoreVertices {
 		t.Error("reloaded graph peels differently")
 	}
@@ -112,7 +112,7 @@ func TestIntegrationIBLTMatchesSubtablePeeling(t *testing.T) {
 	}
 
 	g := NewPartitionedHypergraph(cells, nKeys, 4, 557)
-	peel := PeelSubtables(g, 2)
+	peel := core.Subtables(g, 2, core.Options{})
 	if !peel.Empty() {
 		t.Fatal("matched hypergraph did not peel")
 	}

@@ -32,10 +32,11 @@
 //     (For/ForCtx/RunRanges/RunRangesCtx) must not allocate inside
 //     their per-element loops — per-worker and per-build allocation
 //     only; the Allocates fact sees through calls into other packages.
-//   - nodeprecated: non-test code must not call "Deprecated:" facades;
-//     the denylist is derived from doc comments and travels as a
-//     Deprecated fact, so a root-package facade is flagged in cmd/ and
-//     examples/ without hand-kept lists.
+//   - nodeprecated: non-test code must not call "Deprecated:" functions,
+//     today the standard library's (the repository declares none); the
+//     denylist is derived from doc comments and travels as a Deprecated
+//     fact, so a deprecation is flagged in every importing package
+//     without hand-kept lists.
 //
 // A ninth always-on check, reported under the pseudo-analyzer name
 // "peelvet", enforces suppression hygiene: every //peelvet:allow

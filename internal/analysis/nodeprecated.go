@@ -5,31 +5,32 @@ import (
 	"go/types"
 )
 
-// NoDeprecated keeps new code off the compatibility facades.
+// NoDeprecated keeps non-test code off deprecated API.
 //
-// PR 4 (the Pool/Group runtime) and PR 6 (the flat build/serve split)
-// each left behind thin deprecated wrappers — PeelParallel,
-// BuildStaticMapParallel, bloomier.BuildParallel, and friends — so
-// external callers keep compiling. Internal code has no such excuse:
-// every internal call through a facade is a missed migration that
-// keeps the facade load-bearing forever.
+// The repository declares no deprecated API of its own: each operation
+// has one default-pool form and one explicit-pool (...Ctx) form, and
+// compatibility wrappers are deleted rather than kept. What the
+// analyzer guards today is the use of deprecated API from the standard
+// library (go/importer.ForCompiler, whose nil-lookup mode is
+// deprecated, is the one reasoned allow), and it keeps any future
+// wrapper from gaining callers before it is deleted.
 //
 // The analyzer derives its denylist from the source of truth — any
 // function whose doc comment carries a standard "Deprecated:"
-// paragraph — and exports it as a Deprecated fact, so a facade
-// declared in the root package is flagged when called from examples/
-// or cmd/ without either package naming the other in this analyzer.
+// paragraph — and exports it as a Deprecated fact, so a function
+// declared deprecated in one package is flagged when called from
+// another without either naming the other in this analyzer.
 //
-// Exempt uses: test files (facades must stay tested until deleted),
-// the file declaring the facade, and the bodies of functions that are
-// themselves deprecated (facades may chain to each other).
+// Exempt uses: test files (a deprecated function stays tested until it
+// is deleted), the file declaring it, and the bodies of functions that
+// are themselves deprecated (wrappers may chain to each other).
 var NoDeprecated = &Analyzer{
 	Name: "nodeprecated",
-	Doc: "non-test code must not call Deprecated: facades\n\n" +
+	Doc: "non-test code must not call Deprecated: functions\n\n" +
 		"Functions documented with a \"Deprecated:\" paragraph export a " +
 		"Deprecated fact; any use from non-test code outside the " +
 		"declaring file (and outside other deprecated functions) is " +
-		"flagged with the facade's own migration instruction.",
+		"flagged with the function's own deprecation message.",
 	FactTypes: []Fact{new(Deprecated)},
 	Run:       runNoDeprecated,
 }
@@ -93,7 +94,7 @@ func runNoDeprecated(pass *Pass) error {
 			msg := ""
 			if info, ok := local[fn]; ok {
 				if info.file == fname {
-					return true // declaring file may reference its own facades
+					return true // declaring file may reference its own deprecated functions
 				}
 				msg = info.msg
 			} else if fn.Pkg() != nil && fn.Pkg() != pass.Pkg {
@@ -106,7 +107,7 @@ func runNoDeprecated(pass *Pass) error {
 				return true
 			}
 			if encl := enclosingFuncDecl(f, id.Pos()); encl != nil && deprecatedFuncs[encl] {
-				return true // facades may chain to facades
+				return true // deprecated wrappers may chain to each other
 			}
 			pass.Reportf(id.Pos(), "use of deprecated %s: %s", funcDisplayName(fn), msg)
 			return true

@@ -61,29 +61,16 @@ var ErrBuildFailed = errors.New("bloomier: construction failed on all attempts")
 // distinct. gamma is the slot/key ratio (use DefaultGamma); maxTries
 // bounds seed retries. The whole build path — hashing, index build, the
 // ordered parallel peel, and round-parallel back-substitution — runs on
-// the process-wide default pool; use BuildWithPool to pin it to an
-// explicit one. The resulting filter is identical either way and at
-// every pool size.
+// the process-wide default pool; use BuildCtx to pin it to an explicit
+// one. The resulting filter is identical either way and at every pool
+// size.
 //
 //peelvet:deterministic
 func Build(keys, values []uint64, gamma float64, seed uint64, maxTries int) (*Filter, error) {
-	return BuildWithPool(keys, values, gamma, seed, maxTries, parallel.Default())
+	return BuildCtx(context.Background(), keys, values, gamma, seed, maxTries, parallel.Default())
 }
 
-// BuildWorkers is Build on a private pool of the given size (workers
-// <= 0 selects the default size), created once for ALL retry attempts
-// and closed before returning — a 10-retry build pays worker startup
-// once, not per attempt. Callers building many filters should share one
-// pool across builds via BuildWithPool instead.
-//
-//peelvet:deterministic
-func BuildWorkers(keys, values []uint64, gamma float64, seed uint64, maxTries, workers int) (*Filter, error) {
-	pool := parallel.NewPool(workers)
-	defer pool.Close()
-	return BuildWithPool(keys, values, gamma, seed, maxTries, pool)
-}
-
-// BuildWithPool is Build with every construction phase — per-key edge
+// BuildCtx is Build with every construction phase — per-key edge
 // hashing on each retry attempt, the CSR incidence build, the peel, and
 // the back-substitution — run on an explicit worker pool. The peel is
 // the ordered round-synchronous process (core.ParallelOrder), whose
@@ -92,15 +79,10 @@ func BuildWorkers(keys, values []uint64, gamma float64, seed uint64, maxTries, w
 // per-build state is owned by the call, so many builds may run
 // concurrently on one shared pool.
 //
-//peelvet:deterministic
-func BuildWithPool(keys, values []uint64, gamma float64, seed uint64, maxTries int, pool *parallel.Pool) (*Filter, error) {
-	return BuildCtx(context.Background(), keys, values, gamma, seed, maxTries, pool)
-}
-
-// BuildCtx is BuildWithPool with cooperative cancellation, checked at
-// every round barrier of every attempt's peel and back-substitution
-// sweep — a canceled build stops within one round of extra work. On
-// cancellation it returns (nil, ctx.Err()).
+// Cancellation is cooperative, checked at every round barrier of every
+// attempt's peel and back-substitution sweep — a canceled build stops
+// within one round of extra work. On cancellation it returns
+// (nil, ctx.Err()).
 //
 //peelvet:deterministic
 func BuildCtx(ctx context.Context, keys, values []uint64, gamma float64, seed uint64, maxTries int, pool *parallel.Pool) (*Filter, error) {
@@ -269,40 +251,3 @@ func (f *Filter) LookupValue(x uint64) uint64 { return f.Lookup(x) }
 // Slots returns the size of the slot array (≈ γ × keys); total storage is
 // 8·Slots() bytes.
 func (f *Filter) Slots() int { return len(f.im.Slots) }
-
-// BuildParallel builds the same filter as Build.
-//
-// Deprecated: the two construction pipelines — Build's ordered-round
-// peel and BuildParallel's subround (Appendix B) peel — have been
-// folded into the single ordered-path implementation: it is fully
-// parallel, bit-stable at every worker count, and produces one
-// canonical image per (keys, values, seed). BuildParallel is now an
-// alias of Build kept for source compatibility. (Historically the two
-// paths could return different foreign-key garbage; now every build of
-// the same inputs is byte-identical.)
-func BuildParallel(keys, values []uint64, gamma float64, seed uint64, maxTries int) (*Filter, error) {
-	return Build(keys, values, gamma, seed, maxTries)
-}
-
-// BuildParallelWorkers is BuildParallel on a private pool of the given
-// size, created once for all retry attempts and closed before
-// returning.
-//
-// Deprecated: alias of BuildWorkers; see BuildParallel.
-func BuildParallelWorkers(keys, values []uint64, gamma float64, seed uint64, maxTries, workers int) (*Filter, error) {
-	return BuildWorkers(keys, values, gamma, seed, maxTries, workers)
-}
-
-// BuildParallelWithPool is BuildParallel on an explicit worker pool.
-//
-// Deprecated: alias of BuildWithPool; see BuildParallel.
-func BuildParallelWithPool(keys, values []uint64, gamma float64, seed uint64, maxTries int, pool *parallel.Pool) (*Filter, error) {
-	return BuildWithPool(keys, values, gamma, seed, maxTries, pool)
-}
-
-// BuildParallelCtx is BuildParallel with cooperative cancellation.
-//
-// Deprecated: alias of BuildCtx; see BuildParallel.
-func BuildParallelCtx(ctx context.Context, keys, values []uint64, gamma float64, seed uint64, maxTries int, pool *parallel.Pool) (*Filter, error) {
-	return BuildCtx(ctx, keys, values, gamma, seed, maxTries, pool)
-}

@@ -1,6 +1,7 @@
 package bloomier
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -122,19 +123,20 @@ func TestQuickRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBuildParallelMatchesSerial builds on a one-worker pool and on the
+// default pool: build-key lookups must agree exactly.
 func TestBuildParallelMatchesSerial(t *testing.T) {
 	keys, values := buildInputs(30000, 7)
-	serial, err := Build(keys, values, DefaultGamma, 55, 10)
+	serialPool := parallel.NewPool(1)
+	defer serialPool.Close()
+	serial, err := BuildCtx(context.Background(), keys, values, DefaultGamma, 55, 10, serialPool)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := BuildParallel(keys, values, DefaultGamma, 55, 10)
+	par, err := Build(keys, values, DefaultGamma, 55, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Same seed, same constraint system: build-key lookups must agree
-	// exactly. (Foreign probes may differ — the system is
-	// underdetermined and the two peel orders complete it differently.)
 	for i, k := range keys {
 		if par.Lookup(k) != values[i] {
 			t.Fatalf("parallel build wrong value for key %d", i)
@@ -148,7 +150,7 @@ func TestBuildParallelMatchesSerial(t *testing.T) {
 func TestBuildParallelSmall(t *testing.T) {
 	for _, n := range []int{1, 3, 10, 100} {
 		keys, values := buildInputs(n, uint64(200+n))
-		f, err := BuildParallel(keys, values, DefaultGamma, 9, 20)
+		f, err := Build(keys, values, DefaultGamma, 9, 20)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -161,10 +163,10 @@ func TestBuildParallelSmall(t *testing.T) {
 }
 
 func TestBuildParallelValidation(t *testing.T) {
-	if _, err := BuildParallel([]uint64{1}, []uint64{1, 2}, DefaultGamma, 1, 5); err == nil {
+	if _, err := Build([]uint64{1}, []uint64{1, 2}, DefaultGamma, 1, 5); err == nil {
 		t.Error("length mismatch accepted")
 	}
-	if _, err := BuildParallel([]uint64{1, 2}, []uint64{3, 4}, 1.0, 1, 5); err == nil {
+	if _, err := Build([]uint64{1, 2}, []uint64{3, 4}, 1.0, 1, 5); err == nil {
 		t.Error("tiny gamma accepted")
 	}
 }
@@ -174,16 +176,6 @@ func BenchmarkBuild(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Build(keys, values, DefaultGamma, uint64(i), 10); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkBuildParallel(b *testing.B) {
-	keys, values := buildInputs(1<<16, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := BuildParallel(keys, values, DefaultGamma, uint64(i), 10); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -203,58 +195,54 @@ func BenchmarkLookup(b *testing.B) {
 	_ = sink
 }
 
-// TestBuildWithPoolMatchesDefault proves the pooled construction path
-// solves the same constraint system: build keys look up identical
-// values at any pool size (serial and parallel pipelines both).
+// TestBuildWithPoolMatchesDefault proves building on an explicit pool
+// (BuildCtx) solves the same constraint system as Build: build keys
+// look up identical values at any pool size.
 func TestBuildWithPoolMatchesDefault(t *testing.T) {
 	keys, values := buildInputs(20000, 9)
-	for _, workers := range []int{1, 3} {
+	base, err := Build(keys, values, DefaultGamma, 7, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 3, 8} {
 		pool := parallel.NewPool(workers)
-		f, err := BuildWithPool(keys, values, DefaultGamma, 7, 10, pool)
+		f, err := BuildCtx(context.Background(), keys, values, DefaultGamma, 7, 10, pool)
+		pool.Close()
 		if err != nil {
-			t.Fatalf("BuildWithPool(workers=%d): %v", workers, err)
-		}
-		fp, err := BuildParallelWithPool(keys, values, DefaultGamma, 7, 10, pool)
-		if err != nil {
-			t.Fatalf("BuildParallelWithPool(workers=%d): %v", workers, err)
+			t.Fatalf("BuildCtx(workers=%d): %v", workers, err)
 		}
 		for i, k := range keys {
-			if got := f.Lookup(k); got != values[i] {
+			if got := f.Lookup(k); got != values[i] || got != base.Lookup(k) {
 				t.Fatalf("workers=%d: Lookup(%#x) = %#x, want %#x", workers, k, got, values[i])
 			}
-			if got := fp.Lookup(k); got != values[i] {
-				t.Fatalf("workers=%d parallel: Lookup(%#x) = %#x, want %#x", workers, k, got, values[i])
-			}
 		}
-		pool.Close()
 	}
 }
 
-// TestBuildWorkersMatchesBuild checks both hoisted private-pool entry
-// points produce functions identical to their default-pool forms.
+// TestBuildWorkersMatchesBuild checks that a build on a private
+// three-worker pool produces a function identical to Build's on the
+// build keys.
 func TestBuildWorkersMatchesBuild(t *testing.T) {
 	keys, values := buildInputs(2500, 81)
 	base, err := Build(keys, values, DefaultGamma, 7, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := BuildWorkers(keys, values, DefaultGamma, 7, 10, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp, err := BuildParallelWorkers(keys, values, DefaultGamma, 7, 10, 3)
+	pool := parallel.NewPool(3)
+	defer pool.Close()
+	f, err := BuildCtx(context.Background(), keys, values, DefaultGamma, 7, 10, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, k := range keys {
-		if f.Lookup(k) != values[i] || fp.Lookup(k) != values[i] || base.Lookup(k) != values[i] {
+		if f.Lookup(k) != values[i] || base.Lookup(k) != values[i] {
 			t.Fatalf("lookup mismatch on key %#x", k)
 		}
 	}
 }
 
-// TestConcurrentStaticMapBuildsSharedPool runs serial-peel and
-// subround-peel builds concurrently on one shared pool.
+// TestConcurrentStaticMapBuildsSharedPool runs builds concurrently on
+// one shared pool.
 func TestConcurrentStaticMapBuildsSharedPool(t *testing.T) {
 	pool := parallel.NewPool(3)
 	defer pool.Close()
@@ -262,13 +250,7 @@ func TestConcurrentStaticMapBuildsSharedPool(t *testing.T) {
 	for j := 0; j < 6; j++ {
 		group.Go(func(p *parallel.Pool) error {
 			keys, values := buildInputs(1500+100*j, uint64(90+j))
-			var f *Filter
-			var err error
-			if j%2 == 0 {
-				f, err = BuildWithPool(keys, values, DefaultGamma, uint64(7+j), 10, p)
-			} else {
-				f, err = BuildParallelWithPool(keys, values, DefaultGamma, uint64(7+j), 10, p)
-			}
+			f, err := BuildCtx(context.Background(), keys, values, DefaultGamma, uint64(7+j), 10, p)
 			if err != nil {
 				return err
 			}

@@ -2,6 +2,7 @@ package bloomier
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -70,7 +71,7 @@ func TestBuildBitIdenticalAcrossWorkerCounts(t *testing.T) {
 	var ref *Filter
 	for _, workers := range []int{1, 3, 8} {
 		pool := parallel.NewPool(workers)
-		f, err := BuildWithPool(keys, values, DefaultGamma, 7, 10, pool)
+		f, err := BuildCtx(context.Background(), keys, values, DefaultGamma, 7, 10, pool)
 		pool.Close()
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -89,7 +90,7 @@ func TestBuildBitIdenticalAcrossWorkerCounts(t *testing.T) {
 }
 
 // TestBuildFailedReportsSurvivors pins the diagnosable failure error on
-// both pipelines: above the threshold every attempt leaves a 2-core and
+// both entry points: above the threshold every attempt leaves a 2-core and
 // the error wraps ErrBuildFailed with the last attempt's survivor count.
 func TestBuildFailedReportsSurvivors(t *testing.T) {
 	// γ = 1.12 → density 0.893 > c*(2,3) ≈ 0.818: peeling fails w.h.p.
@@ -99,8 +100,10 @@ func TestBuildFailedReportsSurvivors(t *testing.T) {
 			_, err := Build(keys, values, 1.12, 3, 2)
 			return err
 		},
-		"BuildParallel": func() error {
-			_, err := BuildParallel(keys, values, 1.12, 3, 2)
+		"BuildCtx": func() error {
+			pool := parallel.NewPool(2)
+			defer pool.Close()
+			_, err := BuildCtx(context.Background(), keys, values, 1.12, 3, 2, pool)
 			return err
 		},
 	} {
@@ -130,7 +133,7 @@ func BenchmarkBuildStaticMap(b *testing.B) {
 		pool := parallel.NewPool(workers)
 		b.Run(fmt.Sprintf("Ordered/W=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := BuildWithPool(keys, values, DefaultGamma, 42, 10, pool); err != nil {
+				if _, err := BuildCtx(context.Background(), keys, values, DefaultGamma, 42, 10, pool); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -47,7 +47,7 @@ func decodeRoundsMatchesSerial(t *testing.T, pool *parallel.Pool) {
 			gotP[i], presentP[i] = 0, false
 			gotS[i], presentS[i] = 0, false
 		}
-		errP := code.DecodeWithPool(gotP, presentP, checks, pool)
+		errP := code.DecodeCtx(context.Background(), gotP, presentP, checks, pool)
 		errS := code.Decode(gotS, presentS, checks)
 		if (errP == nil) != (errS == nil) {
 			t.Fatalf("W=%d losses=%d: parallel err=%v, serial err=%v", pool.Workers(), losses, errP, errS)
@@ -72,7 +72,7 @@ func decodeRoundsMatchesSerial(t *testing.T, pool *parallel.Pool) {
 	for _, i := range rng.New(9).Perm(len(data))[:tooMany] {
 		got[i], present[i] = 0, false
 	}
-	if err := code.DecodeWithPool(got, present, checks, pool); !errors.Is(err, ErrDecodeFailed) {
+	if err := code.DecodeCtx(context.Background(), got, present, checks, pool); !errors.Is(err, ErrDecodeFailed) {
 		t.Fatalf("W=%d above-threshold parallel decode: err = %v, want ErrDecodeFailed", pool.Workers(), err)
 	}
 }
@@ -198,7 +198,7 @@ func TestConcurrentDecodeRounds(t *testing.T) {
 			for _, i := range jobGen.Perm(len(data))[:1200] {
 				got[i], present[i] = 0, false
 			}
-			if err := code.DecodeWithPool(got, present, checks, p); err != nil {
+			if err := code.DecodeCtx(context.Background(), got, present, checks, p); err != nil {
 				return err
 			}
 			for i := range data {

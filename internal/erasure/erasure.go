@@ -107,21 +107,15 @@ func (c *Code) Encode(data []uint64) []Cell {
 	return checks
 }
 
-// EncodeWithPool is Encode with the per-symbol cell updates fanned out
-// over an explicit worker pool — the erasure analog of the IBLT's
-// parallel insertion phase, on private per-worker shards merged at the
-// barrier (see applyAllCtx). The resulting check
-// block is cell-for-cell identical to Encode's (XOR and add commute).
-// All per-call state is owned by the call, so concurrent encodes may
-// share one pool.
-func (c *Code) EncodeWithPool(data []uint64, pool *parallel.Pool) []Cell {
-	checks, _ := c.EncodeCtx(context.Background(), data, pool)
-	return checks
-}
-
-// EncodeCtx is EncodeWithPool with cooperative cancellation (checked
-// between batch chunks). On a non-nil return the check block is
-// partially encoded and must be discarded.
+// EncodeCtx is Encode with the per-symbol cell updates fanned out over
+// an explicit worker pool — the erasure analog of the IBLT's parallel
+// insertion phase, on private per-worker shards merged at the barrier
+// (see applyAllCtx). The resulting check block is cell-for-cell
+// identical to Encode's (XOR and add commute). All per-call state is
+// owned by the call, so concurrent encodes may share one pool.
+// Cancellation is cooperative (checked between batch chunks); on a
+// non-nil return the check block is partially encoded and must be
+// discarded.
 func (c *Code) EncodeCtx(ctx context.Context, data []uint64, pool *parallel.Pool) ([]Cell, error) {
 	checks := make([]Cell, c.cells)
 	if _, err := c.applyAllCtx(ctx, checks, data, nil, 1, pool); err != nil {
@@ -232,24 +226,20 @@ func (c *Code) Decode(data []uint64, present []bool, checks []Cell) error {
 	return c.peel(work, data, present, missing)
 }
 
-// DecodeWithPool is Decode with both phases on an explicit worker pool:
-// the received-symbol subtraction pass (the O(data) part that dominates
-// when few symbols are missing) fans out through applyAllCtx, and
-// recovery runs the round-synchronous parallel peel decodeRounds — the
-// erasure analog of the IBLT's subround decoder — instead of the serial
-// queue peel. Results are identical to Decode (peeling is confluent; the
+// DecodeCtx is Decode with both phases on an explicit worker pool: the
+// received-symbol subtraction pass (the O(data) part that dominates when
+// few symbols are missing) fans out through applyAllCtx, and recovery
+// runs the round-synchronous parallel peel decodeRounds — the erasure
+// analog of the IBLT's subround decoder — instead of the serial queue
+// peel. Results are identical to Decode (peeling is confluent; the
 // recovered set and values do not depend on scheduling). All per-call
-// state is owned by the call, so concurrent decodes may share one pool
-// (the multi-tenant serving pattern; see parallel.Group).
-func (c *Code) DecodeWithPool(data []uint64, present []bool, checks []Cell, pool *parallel.Pool) error {
-	return c.DecodeCtx(context.Background(), data, present, checks, pool)
-}
-
-// DecodeCtx is DecodeWithPool with cooperative cancellation, checked
-// inside the subtraction pass and at every peeling round barrier. On
-// cancellation it returns ctx.Err(); data and present are then partially
-// updated and must be treated as abandoned. Mis-shaped inputs return an
-// error wrapping ErrShapeMismatch, as in Decode.
+// state is owned by the call, so concurrent decodes may share one pool.
+//
+// Cancellation is cooperative, checked inside the subtraction pass and
+// at every peeling round barrier. On cancellation it returns ctx.Err();
+// data and present are then partially updated and must be treated as
+// abandoned. Mis-shaped inputs return an error wrapping
+// ErrShapeMismatch, as in Decode.
 func (c *Code) DecodeCtx(ctx context.Context, data []uint64, present []bool, checks []Cell, pool *parallel.Pool) error {
 	if err := c.checkShape(data, present, checks); err != nil {
 		return err
@@ -363,8 +353,8 @@ func (c *Code) pureAtomic(cell *Cell) (idx int, val uint64, ok bool) {
 	return idx, atomic.LoadUint64(&cell.ValueSum), true
 }
 
-// peel runs the queue-driven serial peel of pure cells shared by Decode
-// and DecodeWithPool, filling recovered symbols into data/present.
+// peel runs Decode's queue-driven serial peel of pure cells, filling
+// recovered symbols into data/present.
 func (c *Code) peel(work []Cell, data []uint64, present []bool, missing int) error {
 	pos := make([]int, c.r)
 	queue := make([]int, 0, 256)

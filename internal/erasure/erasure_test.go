@@ -244,8 +244,8 @@ func BenchmarkDecode(b *testing.B) {
 	}
 }
 
-// BenchmarkEncodeWithPool is BenchmarkEncode on a pool of GOMAXPROCS
-// workers (set it with -cpu).
+// BenchmarkEncodeWithPool is BenchmarkEncode through EncodeCtx on a
+// pool of GOMAXPROCS workers (set it with -cpu).
 func BenchmarkEncodeWithPool(b *testing.B) {
 	pool := parallel.NewPool(runtime.GOMAXPROCS(0))
 	defer pool.Close()
@@ -253,13 +253,15 @@ func BenchmarkEncodeWithPool(b *testing.B) {
 	code := NewCode(1<<13, 3, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		code.EncodeWithPool(data, pool)
+		if _, err := code.EncodeCtx(context.Background(), data, pool); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
-// BenchmarkDecodeWithPool is BenchmarkDecode on a pool of GOMAXPROCS
-// workers (set it with -cpu): the parallel received-symbol pass and the
-// round-synchronous peel.
+// BenchmarkDecodeWithPool is BenchmarkDecode through DecodeCtx on a
+// pool of GOMAXPROCS workers (set it with -cpu): the parallel
+// received-symbol pass and the round-synchronous peel.
 func BenchmarkDecodeWithPool(b *testing.B) {
 	pool := parallel.NewPool(runtime.GOMAXPROCS(0))
 	defer pool.Close()
@@ -273,7 +275,7 @@ func BenchmarkDecodeWithPool(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		copy(scratchD, corrupted)
 		copy(scratchP, present)
-		if err := code.DecodeWithPool(scratchD, scratchP, checks, pool); err != nil {
+		if err := code.DecodeCtx(context.Background(), scratchD, scratchP, checks, pool); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -282,17 +284,21 @@ func BenchmarkDecodeWithPool(b *testing.B) {
 // poolSizes are the worker counts the pooled-vs-serial tests run at.
 var poolSizes = []int{1, 2, 3, 8}
 
-// TestEncodeWithPoolMatchesSerial checks the pool-threaded encoder is
-// cell-for-cell identical to the serial one (XOR/add updates commute)
-// at every pool size, private per-worker shards included.
+// TestEncodeWithPoolMatchesSerial checks the pool-threaded encoder
+// (EncodeCtx) is cell-for-cell identical to the serial one (XOR/add
+// updates commute) at every pool size, private per-worker shards
+// included.
 func TestEncodeWithPoolMatchesSerial(t *testing.T) {
 	data := randomData(20000, 21)
 	code := NewCode(1500, 3, 7)
 	serial := code.Encode(data)
 	for _, workers := range poolSizes {
 		pool := parallel.NewPool(workers)
-		pooled := code.EncodeWithPool(data, pool)
+		pooled, err := code.EncodeCtx(context.Background(), data, pool)
 		pool.Close()
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
 		for i := range serial {
 			if serial[i] != pooled[i] {
 				t.Fatalf("workers=%d: cell %d differs: serial %+v pooled %+v", workers, i, serial[i], pooled[i])
@@ -302,7 +308,7 @@ func TestEncodeWithPoolMatchesSerial(t *testing.T) {
 }
 
 // TestDecodeWithPoolMatchesSerial checks the pool-threaded decoder
-// recovers exactly what the serial one does, on both succeeding and
+// (DecodeCtx) recovers exactly what the serial one does, on both succeeding and
 // stalling loss rates, at every pool size.
 func TestDecodeWithPoolMatchesSerial(t *testing.T) {
 	data := randomData(20000, 22)
@@ -314,7 +320,7 @@ func TestDecodeWithPoolMatchesSerial(t *testing.T) {
 			gotS, presentS := erase(data, losses, 23)
 			gotP, presentP := erase(data, losses, 23)
 			errS := code.Decode(gotS, presentS, checks)
-			errP := code.DecodeWithPool(gotP, presentP, checks, pool)
+			errP := code.DecodeCtx(context.Background(), gotP, presentP, checks, pool)
 			if (errS == nil) != (errP == nil) {
 				t.Fatalf("workers=%d losses %d: serial err=%v pooled err=%v", workers, losses, errS, errP)
 			}
@@ -338,9 +344,12 @@ func TestConcurrentErasureJobsSharedPool(t *testing.T) {
 		group.Go(func(p *parallel.Pool) error {
 			data := randomData(8000+500*j, uint64(30+j))
 			code := NewCode(1200, 3, uint64(7+j))
-			checks := code.EncodeWithPool(data, p)
+			checks, err := code.EncodeCtx(context.Background(), data, p)
+			if err != nil {
+				return err
+			}
 			corrupted, present := erase(data, 700, uint64(90+j))
-			if err := code.DecodeWithPool(corrupted, present, checks, p); err != nil {
+			if err := code.DecodeCtx(context.Background(), corrupted, present, checks, p); err != nil {
 				return err
 			}
 			for i := range data {

@@ -27,20 +27,12 @@ import (
 // stubs a valid matching may not exist; after maxRepair failed passes
 // the function panics with a descriptive message.
 //
+// It panics if r is outside [2, MaxArity] or a degree is negative.
+//
 // Stub matching is inherently sequential (each repair swap depends on
 // the previous), so only the CSR incidence build parallelizes; it runs
-// on the process-wide default pool here, or on an explicit pool via
-// ConfigurationModelWithPool.
+// on the process-wide default pool.
 func ConfigurationModel(degrees []int32, r int, gen *rng.RNG) *Hypergraph {
-	return ConfigurationModelWithPool(degrees, r, gen, parallel.Default())
-}
-
-// ConfigurationModelWithPool is ConfigurationModel with the CSR build on
-// an explicit worker pool. It carries ConfigurationModel's panic
-// contract: panics if r is outside [2, MaxArity], a degree is negative,
-// or the degree sequence is too concentrated to repair into
-// distinct-vertex edges.
-func ConfigurationModelWithPool(degrees []int32, r int, gen *rng.RNG, pool *parallel.Pool) *Hypergraph {
 	n := len(degrees)
 	if r < 2 || r > MaxArity {
 		panic(fmt.Sprintf("hypergraph: arity %d outside [2, %d]", r, MaxArity))
@@ -92,7 +84,7 @@ func ConfigurationModelWithPool(degrees []int32, r int, gen *rng.RNG, pool *para
 		}
 	}
 	g := &Hypergraph{N: n, M: m, R: r, Edges: stubs}
-	g.buildIncidence(pool)
+	g.buildIncidence(parallel.Default())
 	return g
 }
 

@@ -21,9 +21,9 @@
 // Construction is parallel end-to-end — edge sampling fans chunk-keyed
 // RNG streams out over a worker pool, and the CSR index is built with a
 // stable parallel counting sort — yet deterministic: a given generator
-// state produces the same graph for every worker count. Each generator
-// has a ...WithPool variant; the plain forms run on the process-wide
-// default pool.
+// state produces the same graph for every worker count. Uniform,
+// Binomial, Partitioned and FromEdges run on the process-wide default
+// pool; each has a ...WithPool form that takes an explicit one.
 package hypergraph
 
 import (
@@ -423,28 +423,4 @@ func (g *Hypergraph) DegreeHistogram(maxDeg int) []int {
 		hist[d]++
 	}
 	return hist
-}
-
-// CountDegreesBelow returns how many vertices currently have degree < k in
-// the full graph (round-1 peel candidates), computed in parallel on the
-// process-wide default pool. Callers that configured an explicit pool
-// (core.Options.Pool) should use CountDegreesBelowWithPool so the scan
-// does not escape to the default pool.
-func (g *Hypergraph) CountDegreesBelow(k int) int {
-	return g.CountDegreesBelowWithPool(k, parallel.Default())
-}
-
-// CountDegreesBelowWithPool is CountDegreesBelow on an explicit pool.
-func (g *Hypergraph) CountDegreesBelowWithPool(k int, pool *parallel.Pool) int {
-	counter := pool.NewCounter()
-	pool.For(g.N, 4096, func(w, lo, hi int) {
-		local := 0
-		for v := lo; v < hi; v++ {
-			if g.Degree(v) < k {
-				local++
-			}
-		}
-		counter.Add(w, int64(local))
-	})
-	return int(counter.Sum())
 }

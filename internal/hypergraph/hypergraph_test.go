@@ -184,21 +184,6 @@ func TestEdgeDensity(t *testing.T) {
 	}
 }
 
-func TestCountDegreesBelowMatchesSequential(t *testing.T) {
-	g := Uniform(50000, 35000, 4, rng.New(11))
-	for _, k := range []int{1, 2, 3, 5} {
-		want := 0
-		for v := 0; v < g.N; v++ {
-			if g.Degree(v) < k {
-				want++
-			}
-		}
-		if got := g.CountDegreesBelow(k); got != want {
-			t.Errorf("CountDegreesBelow(%d) = %d, want %d", k, got, want)
-		}
-	}
-}
-
 func TestGeneratorsDeterministic(t *testing.T) {
 	a := Uniform(1000, 700, 4, rng.New(42))
 	b := Uniform(1000, 700, 4, rng.New(42))
@@ -319,23 +304,6 @@ func TestParallelCSRMatchesSequential(t *testing.T) {
 		par := FromEdgesWithPool(n, r, append([]uint32(nil), edges...), 0, pool)
 		equalGraphs(t, fmt.Sprintf("csr workers=%d", workers), seq, par)
 		pool.Close()
-	}
-}
-
-func TestCountDegreesBelowWithPool(t *testing.T) {
-	pool := parallel.NewPool(3)
-	defer pool.Close()
-	g := UniformWithPool(20000, 14000, 4, rng.New(12), pool)
-	for _, k := range []int{1, 2, 4} {
-		want := 0
-		for v := 0; v < g.N; v++ {
-			if g.Degree(v) < k {
-				want++
-			}
-		}
-		if got := g.CountDegreesBelowWithPool(k, pool); got != want {
-			t.Errorf("CountDegreesBelowWithPool(%d) = %d, want %d", k, got, want)
-		}
 	}
 }
 

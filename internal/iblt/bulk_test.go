@@ -45,8 +45,12 @@ func TestBulkInsertMatchesSerial(t *testing.T) {
 			for _, workers := range []int{1, 2, 3, 8} {
 				pool := parallel.NewPool(workers)
 				got := New(tc.cells, 3, 19)
-				got.InsertAllWithPool(keys, pool)
-				got.DeleteAllWithPool(deleted, pool)
+				if err := got.InsertAllCtx(context.Background(), keys, pool); err != nil {
+					t.Fatal(err)
+				}
+				if err := got.applyAllCtx(context.Background(), deleted, -1, pool); err != nil {
+					t.Fatal(err)
+				}
 				gb, err := got.MarshalBinary()
 				if err != nil {
 					t.Fatal(err)
@@ -59,8 +63,8 @@ func TestBulkInsertMatchesSerial(t *testing.T) {
 				if !errors.As(err, &pe) {
 					t.Errorf("workers=%d: InsertAllCtx with a zero key returned %v, want a *parallel.PanicError", workers, err)
 				}
-				if v := recoverValue(func() { New(tc.cells, 3, 19).InsertAllWithPool(bad, pool) }); !isPanicError(v) {
-					t.Errorf("workers=%d: InsertAllWithPool with a zero key panicked with %v, want a *parallel.PanicError", workers, v)
+				if v := recoverValue(func() { New(tc.cells, 3, 19).mustApplyAll(bad, 1, pool) }); !isPanicError(v) {
+					t.Errorf("workers=%d: context-free insert with a zero key panicked with %v, want a *parallel.PanicError", workers, v)
 				}
 				pool.Close()
 			}

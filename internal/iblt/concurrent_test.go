@@ -18,7 +18,9 @@ func TestDecodeWithPoolMatchesSerial(t *testing.T) {
 		cells := 6000
 		keys := randomKeys(int(load*float64(cells)), uint64(100+int(load*100)))
 		master := New(cells, 3, 77)
-		master.InsertAllWithPool(keys, pool)
+		if err := master.InsertAllCtx(context.Background(), keys, pool); err != nil {
+			t.Fatal(err)
+		}
 
 		addedS, _, okS := master.Clone().Decode()
 		full, err := master.Clone().DecodeParallelCtx(context.Background(), pool)
@@ -59,7 +61,9 @@ func TestConcurrentDecodesSharedPool(t *testing.T) {
 		group.Go(func(p *parallel.Pool) error {
 			keys := randomKeys(2000+100*j, uint64(1000+j))
 			table := New(2*len(keys)+len(keys)/2, 3, uint64(50+j))
-			table.InsertAllWithPool(keys, p)
+			if err := table.InsertAllCtx(context.Background(), keys, p); err != nil {
+				return err
+			}
 			decode := table.DecodeParallelCtx
 			if j%2 == 1 {
 				decode = table.DecodeParallelFrontierCtx
@@ -92,7 +96,7 @@ func TestReconcileWithPool(t *testing.T) {
 	onlyB := randomKeys(110, 62)
 	a := append(append([]uint64(nil), common...), onlyA...)
 	b := append(append([]uint64(nil), common...), onlyB...)
-	gotA, gotB, wire, err := ReconcileWithPool(a, b, 7, 1.5, pool)
+	gotA, gotB, wire, err := ReconcileCtx(context.Background(), a, b, 7, 1.5, pool)
 	if err != nil {
 		t.Fatal(err)
 	}

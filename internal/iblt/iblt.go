@@ -142,29 +142,20 @@ func (t *Table) apply(x uint64, delta int64) {
 // through per-worker private copies merged at the barrier (see
 // applyAllCtx). Both give the serial Insert result cell for cell.
 //
-// Concurrent bulk updates (InsertAll*, DeleteAll*) of different tables
+// Concurrent bulk updates (InsertAll, InsertAllCtx, DeleteAll) of
+// different tables
 // are safe, also on one shared pool; overlapping bulk updates of one
 // table are not. A zero key re-panics on the caller as a
 // *parallel.PanicError and leaves the table holding an unspecified
 // subset of keys.
-func (t *Table) InsertAll(keys []uint64) { t.InsertAllWithPool(keys, parallel.Default()) }
-
-// InsertAllWithPool is InsertAll on an explicit worker pool.
-func (t *Table) InsertAllWithPool(keys []uint64, pool *parallel.Pool) {
-	t.mustApplyAll(keys, 1, pool)
-}
+func (t *Table) InsertAll(keys []uint64) { t.mustApplyAll(keys, 1, parallel.Default()) }
 
 // DeleteAll deletes keys in parallel on the process-wide default pool,
 // with InsertAll's paths and concurrency contract.
-func (t *Table) DeleteAll(keys []uint64) { t.DeleteAllWithPool(keys, parallel.Default()) }
+func (t *Table) DeleteAll(keys []uint64) { t.mustApplyAll(keys, -1, parallel.Default()) }
 
-// DeleteAllWithPool is DeleteAll on an explicit worker pool.
-func (t *Table) DeleteAllWithPool(keys []uint64, pool *parallel.Pool) {
-	t.mustApplyAll(keys, -1, pool)
-}
-
-// InsertAllCtx is InsertAllWithPool with cooperative cancellation
-// (checked between batch chunks); a zero key returns a
+// InsertAllCtx is InsertAll on an explicit worker pool with cooperative
+// cancellation (checked between batch chunks); a zero key returns a
 // *parallel.PanicError instead of panicking. On a non-nil return the
 // table holds an unspecified subset of keys and must be discarded —
 // cancellation abandons the request, not just the insert pass.
@@ -182,7 +173,7 @@ func (t *Table) mustApplyAll(keys []uint64, delta int64, pool *parallel.Pool) {
 }
 
 // applyAllCtx adds (delta = +1) or removes (delta = -1) every key on the
-// pool: the one bulk-update kernel behind InsertAll*, DeleteAll* and
+// pool: the one bulk-update kernel behind InsertAll, DeleteAll and
 // InsertAllCtx. Go has no atomic XOR (parallel.XorUint64 is a CAS loop),
 // and when the table has no more cells than the batch has keys, workers
 // updating it atomically keep bouncing the same few cache lines between

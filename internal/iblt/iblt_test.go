@@ -1,6 +1,7 @@
 package iblt
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 	"testing"
@@ -378,14 +379,20 @@ func TestInsertAllWithPoolDecodes(t *testing.T) {
 	for i := range keys {
 		keys[i] = uint64(i)*0x9e3779b97f4a7c15 + 1
 	}
-	tb.InsertAllWithPool(keys, pool)
+	if err := tb.InsertAllCtx(context.Background(), keys, pool); err != nil {
+		t.Fatal(err)
+	}
 	added, removed, ok := tb.Decode()
 	if !ok || len(added) != len(keys) || len(removed) != 0 {
-		t.Fatalf("decode after InsertAllWithPool: ok=%v added=%d removed=%d", ok, len(added), len(removed))
+		t.Fatalf("decode after InsertAllCtx: ok=%v added=%d removed=%d", ok, len(added), len(removed))
 	}
 	tb2 := New(8192, 3, 11)
-	tb2.InsertAllWithPool(keys, pool)
-	tb2.DeleteAllWithPool(keys, pool)
+	if err := tb2.InsertAllCtx(context.Background(), keys, pool); err != nil {
+		t.Fatal(err)
+	}
+	if err := tb2.applyAllCtx(context.Background(), keys, -1, pool); err != nil {
+		t.Fatal(err)
+	}
 	if _, _, ok := tb2.Decode(); !ok {
 		t.Fatal("insert+delete with pool should leave an empty table")
 	}

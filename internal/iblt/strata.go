@@ -76,24 +76,18 @@ func (e *StrataEstimator) InsertAll(keys []uint64) {
 	}
 }
 
-// InsertAllWithPool adds keys in parallel on an explicit worker pool, so
-// the stratified insert pass — the first step of every reconciliation
-// request — does not run serially in front of the bulk table inserts.
-// The estimator is tiny (strataDepth × 81 cells), so atomic updates
-// would spend their time in CAS retries on a few shared cache lines;
-// instead worker 0 fills e in place and every other worker ID that
-// claims a 2 048-key chunk fills a private estimator, merged at the
-// barrier. A private estimator thus costs at most 2 592 merged cells
-// (62 KB) per extra chunk, and batches of one chunk or 1-worker pools
-// run entirely in place. The result is cell-for-cell identical to a
-// serial InsertAll (XOR and add commute).
-func (e *StrataEstimator) InsertAllWithPool(keys []uint64, pool *parallel.Pool) {
-	_ = e.insertAllCtx(context.Background(), keys, pool)
-}
-
-// insertAllCtx is InsertAllWithPool with cooperative cancellation; on a
-// non-nil return the estimator is partially filled and must be
-// discarded.
+// insertAllCtx adds keys in parallel on pool, with cooperative
+// cancellation, so the stratified insert pass — the first step of every
+// reconciliation request — does not run serially in front of the bulk
+// table inserts. The estimator is tiny (strataDepth × 81 cells), so
+// atomic updates would spend their time in CAS retries on a few shared
+// cache lines; instead worker 0 fills e in place and every other worker
+// ID that claims a 2 048-key chunk fills a private estimator, merged at
+// the barrier. A private estimator thus costs at most 2 592 merged
+// cells (62 KB) per extra chunk, and batches of one chunk or 1-worker
+// pools run entirely in place. The result is cell-for-cell identical to
+// a serial InsertAll (XOR and add commute). On a non-nil return the
+// estimator is partially filled and must be discarded.
 func (e *StrataEstimator) insertAllCtx(ctx context.Context, keys []uint64, pool *parallel.Pool) error {
 	private := make([]*StrataEstimator, pool.Workers())
 	private[0] = e
@@ -238,24 +232,10 @@ func (e *StrataEstimator) Seed() uint64 { return e.seed }
 // This is a protocol harness for tests and examples — real deployments
 // would ship the estimator and table over a network; the data flow and
 // byte counts are identical. It runs on the process-wide default pool;
-// servers reconciling many pairs concurrently should use
-// ReconcileWithPool so every request shares one pool.
+// servers reconciling many pairs concurrently should use ReconcileCtx
+// so every request shares one pool.
 func Reconcile(localKeys, remoteKeys []uint64, seed uint64, headroom float64) (onlyLocal, onlyRemote []uint64, wireBytes int, err error) {
-	return ReconcileWithPool(localKeys, remoteKeys, seed, headroom, parallel.Default())
-}
-
-// ReconcileWithPool is Reconcile with every phase pinned to an explicit
-// worker pool: the strata-estimator inserts (InsertAllWithPool — so no
-// serial prefix remains in a reconciliation request), the bulk table
-// inserts, and the difference-table frontier decode. All per-request
-// state is owned by the call, making it safe to run many
-// reconciliations concurrently on one shared pool (e.g. as
-// parallel.Group jobs). The returned difference sides are sorted, so the
-// output is identical at every pool size (the parallel decoder's
-// recovery order is scheduling-dependent; the recovered *set* is not, by
-// peeling confluence).
-func ReconcileWithPool(localKeys, remoteKeys []uint64, seed uint64, headroom float64, pool *parallel.Pool) (onlyLocal, onlyRemote []uint64, wireBytes int, err error) {
-	return ReconcileCtx(context.Background(), localKeys, remoteKeys, seed, headroom, pool)
+	return ReconcileCtx(context.Background(), localKeys, remoteKeys, seed, headroom, parallel.Default())
 }
 
 // MaxHeadroom caps the safety headroom ReconcileCtx honors. headroom
@@ -267,13 +247,23 @@ func ReconcileWithPool(localKeys, remoteKeys []uint64, seed uint64, headroom flo
 // rejected outright by the wire server's request parser.
 const MaxHeadroom = 16.0
 
-// ReconcileCtx is ReconcileWithPool with cooperative cancellation,
-// checked between protocol phases, inside the bulk insert passes, and at
-// the decode's subround barriers. On cancellation it returns ctx.Err()
-// and all partial protocol state is abandoned. headroom is clamped into
-// [1.25, MaxHeadroom], and the difference table is never sized beyond
-// what the two input sets themselves justify, so untrusted parameters
-// cannot drive an allocation disproportionate to the keys provided.
+// ReconcileCtx is Reconcile with every phase pinned to an explicit
+// worker pool: the strata-estimator inserts (so no serial prefix
+// remains in a reconciliation request), the bulk table inserts, and the
+// difference-table frontier decode. All per-request state is owned by
+// the call, making it safe to run many reconciliations concurrently on
+// one shared pool. The returned difference sides are sorted, so the
+// output is identical at every pool size (the parallel decoder's
+// recovery order is scheduling-dependent; the recovered *set* is not,
+// by peeling confluence).
+//
+// Cancellation is cooperative, checked between protocol phases, inside
+// the bulk insert passes, and at the decode's subround barriers. On
+// cancellation it returns ctx.Err() and all partial protocol state is
+// abandoned. headroom is clamped into [1.25, MaxHeadroom], and the
+// difference table is never sized beyond what the two input sets
+// themselves justify, so untrusted parameters cannot drive an
+// allocation disproportionate to the keys provided.
 func ReconcileCtx(ctx context.Context, localKeys, remoteKeys []uint64, seed uint64, headroom float64, pool *parallel.Pool) (onlyLocal, onlyRemote []uint64, wireBytes int, err error) {
 	// !(>= 1.25) rather than < 1.25 so NaN (every comparison false)
 	// lands on the floor instead of slipping through.

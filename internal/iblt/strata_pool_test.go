@@ -32,8 +32,11 @@ func TestStrataInsertAllWithPool(t *testing.T) {
 		for _, workers := range []int{1, 2, 3, 8} {
 			pool := parallel.NewPool(workers)
 			got := NewStrataEstimator(42)
-			got.InsertAllWithPool(keys[:n], pool)
+			err := got.insertAllCtx(context.Background(), keys[:n], pool)
 			pool.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
 			gb, err := got.MarshalBinary()
 			if err != nil {
 				t.Fatal(err)

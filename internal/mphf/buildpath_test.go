@@ -2,6 +2,7 @@ package mphf
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -78,7 +79,7 @@ func TestBuildBitIdenticalAcrossWorkerCounts(t *testing.T) {
 	var ref *MPHF
 	for _, workers := range []int{1, 3, 8} {
 		pool := parallel.NewPool(workers)
-		f, err := BuildWithPool(keys, DefaultGamma, 7, 10, pool)
+		f, err := BuildCtx(context.Background(), keys, DefaultGamma, 7, 10, pool)
 		pool.Close()
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -160,7 +161,7 @@ func BenchmarkBuildMPHF(b *testing.B) {
 		pool := parallel.NewPool(workers)
 		b.Run(fmt.Sprintf("Ordered/W=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := BuildWithPool(keys, DefaultGamma, 42, 10, pool); err != nil {
+				if _, err := BuildCtx(context.Background(), keys, DefaultGamma, 42, 10, pool); err != nil {
 					b.Fatal(err)
 				}
 			}

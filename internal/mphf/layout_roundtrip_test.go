@@ -2,6 +2,7 @@ package mphf
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"repro/internal/layout"
@@ -17,7 +18,7 @@ func TestLayoutRoundTripDeterministic(t *testing.T) {
 	var refImage []byte
 	for _, workers := range []int{1, 3, 8} {
 		pool := parallel.NewPool(workers)
-		f, err := BuildWithPool(keys, DefaultGamma, 7, 10, pool)
+		f, err := BuildCtx(context.Background(), keys, DefaultGamma, 7, 10, pool)
 		pool.Close()
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)

@@ -66,30 +66,16 @@ var ErrDuplicateKeys = errors.New("mphf: duplicate keys")
 // retries with derived seeds up to maxTries times (10 is plenty).
 // The whole build path — hashing, index build, the ordered parallel
 // peel, and the round-parallel g-value assignment — runs on the
-// process-wide default pool; use BuildWithPool to pin it to an explicit
-// one. The resulting function is identical either way and at every pool
+// process-wide default pool; use BuildCtx to pin it to an explicit one.
+// The resulting function is identical either way and at every pool
 // size (the ordered peel is bit-stable across worker counts).
 //
 //peelvet:deterministic
 func Build(keys []uint64, gamma float64, seed uint64, maxTries int) (*MPHF, error) {
-	return BuildWithPool(keys, gamma, seed, maxTries, parallel.Default())
+	return BuildCtx(context.Background(), keys, gamma, seed, maxTries, parallel.Default())
 }
 
-// BuildWorkers is Build on a private pool of the given size (workers
-// <= 0 selects the default size). The pool is created once for ALL
-// retry attempts and closed before returning, so a 10-retry build pays
-// worker startup exactly once rather than once per attempt.
-// Callers building many functions should instead share one pool across
-// builds via BuildWithPool (e.g. as parallel.Group jobs).
-//
-//peelvet:deterministic
-func BuildWorkers(keys []uint64, gamma float64, seed uint64, maxTries, workers int) (*MPHF, error) {
-	pool := parallel.NewPool(workers)
-	defer pool.Close()
-	return BuildWithPool(keys, gamma, seed, maxTries, pool)
-}
-
-// BuildWithPool is Build with every construction phase — per-key edge
+// BuildCtx is Build with every construction phase — per-key edge
 // hashing on each retry attempt, the CSR incidence build, the peel, and
 // the g-value assignment — run on an explicit worker pool. The peel is
 // the ordered round-synchronous process (core.ParallelOrder), whose
@@ -101,16 +87,11 @@ func BuildWorkers(keys []uint64, gamma float64, seed uint64, maxTries, workers i
 // later). All per-build state is owned by the call, so many builds may
 // run concurrently on one shared pool.
 //
-//peelvet:deterministic
-func BuildWithPool(keys []uint64, gamma float64, seed uint64, maxTries int, pool *parallel.Pool) (*MPHF, error) {
-	return BuildCtx(context.Background(), keys, gamma, seed, maxTries, pool)
-}
-
-// BuildCtx is BuildWithPool with cooperative cancellation, checked at
-// every round barrier of every attempt's peel and assignment sweep (and
-// at the phase barriers between hashing, CSR build, peel, and
-// assignment) — a canceled build stops within one round of extra work,
-// not one phase. On cancellation it returns (nil, ctx.Err()).
+// Cancellation is cooperative, checked at every round barrier of every
+// attempt's peel and assignment sweep (and at the phase barriers
+// between hashing, CSR build, peel, and assignment) — a canceled build
+// stops within one round of extra work, not one phase. On cancellation
+// it returns (nil, ctx.Err()).
 //
 //peelvet:deterministic
 func BuildCtx(ctx context.Context, keys []uint64, gamma float64, seed uint64, maxTries int, pool *parallel.Pool) (*MPHF, error) {

@@ -1,6 +1,7 @@
 package mphf
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -187,46 +188,49 @@ func BenchmarkLookup(b *testing.B) {
 	_ = sink
 }
 
-// TestBuildWithPoolMatchesDefault proves the pooled construction path is
-// a pure performance change: the hash seeds, the peeled hypergraph, and
-// hence every lookup are identical to Build's, at any pool size.
+// TestBuildWithPoolMatchesDefault proves building on an explicit pool
+// (BuildCtx) is a pure performance change: the hash seeds, the peeled
+// hypergraph, and hence every lookup are identical to Build's, at any
+// pool size.
 func TestBuildWithPoolMatchesDefault(t *testing.T) {
 	keys := randomKeys(20000, 9)
 	ref, err := Build(keys, DefaultGamma, 7, 10)
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	for _, workers := range []int{1, 3} {
+	for _, workers := range []int{1, 3, 8} {
 		pool := parallel.NewPool(workers)
-		f, err := BuildWithPool(keys, DefaultGamma, 7, 10, pool)
+		f, err := BuildCtx(context.Background(), keys, DefaultGamma, 7, 10, pool)
+		pool.Close()
 		if err != nil {
-			t.Fatalf("BuildWithPool(workers=%d): %v", workers, err)
+			t.Fatalf("BuildCtx(workers=%d): %v", workers, err)
 		}
 		for _, k := range keys {
 			if f.Lookup(k) != ref.Lookup(k) {
 				t.Fatalf("workers=%d: Lookup(%#x) = %d, want %d", workers, k, f.Lookup(k), ref.Lookup(k))
 			}
 		}
-		pool.Close()
 	}
 }
 
-// TestBuildWorkersMatchesBuild checks the hoisted private-pool entry
-// point produces the identical function (same seed → same attempt
-// sequence → same g values).
+// TestBuildWorkersMatchesBuild checks that a build on a private
+// three-worker pool produces the identical function (same seed → same
+// attempt sequence → same g values).
 func TestBuildWorkersMatchesBuild(t *testing.T) {
 	keys := randomKeys(3000, 71)
 	base, err := Build(keys, DefaultGamma, 7, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := BuildWorkers(keys, DefaultGamma, 7, 10, 3)
+	pool := parallel.NewPool(3)
+	defer pool.Close()
+	f, err := BuildCtx(context.Background(), keys, DefaultGamma, 7, 10, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, k := range keys {
 		if f.Lookup(k) != base.Lookup(k) {
-			t.Fatalf("BuildWorkers lookup diverges on key %#x", k)
+			t.Fatalf("three-worker build lookup diverges on key %#x", k)
 		}
 	}
 }
@@ -240,7 +244,7 @@ func TestConcurrentBuildsSharedPool(t *testing.T) {
 	for j := 0; j < 6; j++ {
 		group.Go(func(p *parallel.Pool) error {
 			keys := randomKeys(2000+100*j, uint64(80+j))
-			f, err := BuildWithPool(keys, DefaultGamma, uint64(7+j), 10, p)
+			f, err := BuildCtx(context.Background(), keys, DefaultGamma, uint64(7+j), 10, p)
 			if err != nil {
 				return err
 			}
@@ -272,7 +276,7 @@ func BenchmarkConcurrentBuild(b *testing.B) {
 	keys := randomKeys(20000, 5)
 	buildJob := func(p *parallel.Pool, reps, j int) error {
 		for i := 0; i < reps; i++ {
-			if _, err := BuildWithPool(keys, DefaultGamma, uint64(7+j), 10, p); err != nil {
+			if _, err := BuildCtx(context.Background(), keys, DefaultGamma, uint64(7+j), 10, p); err != nil {
 				return err
 			}
 		}

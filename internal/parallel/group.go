@@ -21,7 +21,7 @@ import (
 //
 // Jobs must keep per-worker state (round buffers, shards) private to the
 // job: worker IDs are only serialized within a single For/Run call, and
-// concurrent jobs each see the full ID range. The ...WithPool decode and
+// concurrent jobs each see the full ID range. The ...Ctx decode and
 // build paths in internal/iblt, internal/mphf, internal/bloomier, and
 // internal/erasure allocate their buffers per call, so they are safe to
 // run as Group jobs as-is.

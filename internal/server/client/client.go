@@ -5,9 +5,8 @@
 // Retry classification is the point of the package:
 //
 //   - OVERLOADED replies are always retryable, for every op — a shed
-//     request never started. The backoff honors the server's
-//     retry-after hint, floored by capped exponential backoff with
-//     jitter.
+//     request never started. The wait is capped exponential backoff
+//     with jitter, never shorter than the server's retry-after hint.
 //   - Connection loss after a request was sent is ambiguous — the
 //     server may or may not have executed it — so it is retried only
 //     for idempotent ops. SwapImage is not idempotent (it advances the
@@ -398,18 +397,9 @@ func (c *Client) call(ctx context.Context, op byte, payload []byte, idempotent b
 	}
 }
 
-// sleepBackoff waits for max(server hint, capped exponential backoff)
-// with ±50% jitter, respecting ctx.
+// sleepBackoff waits for backoffDelay, respecting ctx.
 func sleepBackoff(ctx context.Context, opts Options, attempt int, hint time.Duration) error {
-	d := opts.baseBackoff() << uint(attempt)
-	if max := opts.maxBackoff(); d > max || d <= 0 {
-		d = max
-	}
-	if hint > d {
-		d = hint
-	}
-	d = d/2 + time.Duration(rand.Int64N(int64(d/2)+1)) // [d/2, d]
-	t := time.NewTimer(d)
+	t := time.NewTimer(backoffDelay(opts, attempt, hint))
 	defer t.Stop()
 	select {
 	case <-t.C:
@@ -417,6 +407,18 @@ func sleepBackoff(ctx context.Context, opts Options, attempt int, hint time.Dura
 	case <-ctx.Done():
 		return ctx.Err()
 	}
+}
+
+// backoffDelay is the wait before retry attempt+1: the capped
+// exponential backoff d, jittered into [d/2, d], but never shorter than
+// the server's retry-after hint.
+func backoffDelay(opts Options, attempt int, hint time.Duration) time.Duration {
+	d := opts.baseBackoff() << uint(attempt)
+	if ceil := opts.maxBackoff(); d > ceil || d <= 0 {
+		d = ceil
+	}
+	d = d/2 + time.Duration(rand.Int64N(int64(d/2)+1)) // [d/2, d]
+	return max(d, hint)
 }
 
 // deadlineField computes the request's relative-deadline field from

@@ -291,6 +291,14 @@ func TestDrainSendsGoAwayAndAnswersShuttingDown(t *testing.T) {
 	srv, addr := startServer(t, Options{Workers: 2, MaxJobs: 2})
 	nc := dialRaw(t, addr)
 
+	// One round trip first, so the connection is registered with the
+	// server before the drain starts; otherwise Serve's accept loop may
+	// see the drain first and refuse it at the door (GOAWAY, then close).
+	nc.Write(appendFrame(nil, OpLookup, 4, []byte{1, 2}))
+	if typ, id, _ := readReply(t, nc); typ != TypeError || id != 4 {
+		t.Fatalf("warm-up reply typ=%#x id=%d, want ERROR id=4", typ, id)
+	}
+
 	// Hold the runtime open so Shutdown must actually drain.
 	release := make(chan struct{})
 	started := make(chan struct{})

@@ -2,7 +2,6 @@ package repro
 
 import (
 	"context"
-	"errors"
 
 	"repro/internal/bloomier"
 	"repro/internal/core"
@@ -40,7 +39,7 @@ type OrderedPeelResult = core.OrderedResult
 // PeelOptions configures the parallel peelers (scan policy, round cap).
 type PeelOptions = core.Options
 
-// Scan policies for PeelParallelOpts: FrontierScan tracks only vertices
+// Scan policies for PeelOptions.Scan: FrontierScan tracks only vertices
 // whose degree changed (work-efficient); FullScan re-examines every
 // vertex each round (the GPU strategy).
 const (
@@ -94,64 +93,6 @@ func NewPartitionedHypergraph(n, m, r int, seed uint64) *Hypergraph {
 // the peel order and edge orientation along with the core.
 func Peel(g *Hypergraph, k int) *SeqPeelResult { return core.Sequential(g, k) }
 
-// PeelParallel runs the round-synchronous parallel peeling process the
-// paper analyzes: every round removes all vertices of degree < k at once,
-// across all CPU cores.
-//
-// Deprecated: use Runtime.Peel, which adds context cancellation and
-// admission control. PeelParallel runs on the package-default Runtime.
-func PeelParallel(g *Hypergraph, k int) *PeelResult {
-	res, err := DefaultRuntime().Peel(context.Background(), g, k, PeelOptions{})
-	if err != nil {
-		// Only reachable if the default Runtime was shut down; keep the
-		// historical cannot-fail contract (degraded to inline serial).
-		return core.Parallel(g, k, core.Options{})
-	}
-	return res
-}
-
-// PeelParallelOpts is PeelParallel with explicit options (including an
-// explicit Options.Pool, which is honored here).
-//
-// Deprecated: use Runtime.Peel, which adds context cancellation and
-// admission control.
-func PeelParallelOpts(g *Hypergraph, k int, opts PeelOptions) *PeelResult {
-	return core.Parallel(g, k, opts)
-}
-
-// PeelOrdered runs the ordered round-synchronous parallel peel: the
-// same rounds and k-core as PeelParallel, plus the peel order and edge
-// orientation that Peel (sequential) produces — but computed in
-// parallel, deterministically at every worker count. It runs on the
-// package-default Runtime; servers should use Runtime.PeelOrdered for
-// cancellation and admission control.
-func PeelOrdered(g *Hypergraph, k int) *OrderedPeelResult {
-	res, err := DefaultRuntime().PeelOrdered(context.Background(), g, k, PeelOptions{})
-	if err != nil {
-		// Only reachable if the default Runtime was shut down; keep the
-		// cannot-fail contract (degraded to inline serial), consistent
-		// with PeelParallel's fallback.
-		return core.ParallelOrder(g, k, core.Options{})
-	}
-	return res
-}
-
-// PeelSubtables runs the Appendix B subround process on a partitioned
-// hypergraph: each round peels the r subtables one after another, each in
-// parallel internally.
-//
-// Deprecated: use Runtime.PeelSubtables, which adds context cancellation
-// and admission control. PeelSubtables runs on the package-default
-// Runtime.
-func PeelSubtables(g *Hypergraph, k int) *PeelResult {
-	res, err := DefaultRuntime().PeelSubtables(context.Background(), g, k, PeelOptions{})
-	if err != nil {
-		// See PeelParallel: preserve the cannot-fail contract.
-		return core.Subtables(g, k, core.Options{})
-	}
-	return res
-}
-
 // Threshold returns the k-core emptiness threshold c*(k,r) of Equation
 // (2.1) and its argmin x*. Below c*(k,r) peeling empties the core w.h.p.
 func Threshold(k, r int) (cstar, xstar float64) { return threshold.Threshold(k, r) }
@@ -184,14 +125,7 @@ func NewErasureCode(checkCells, r int, seed uint64) *ErasureCode {
 // runs on the package-default Runtime; servers should use
 // Runtime.BuildMPHF for cancellation and admission control.
 func BuildMPHF(keys []uint64, seed uint64) (*MPHF, error) {
-	f, err := DefaultRuntime().BuildMPHF(context.Background(), keys, seed)
-	if errors.Is(err, ErrRuntimeClosed) {
-		// Only reachable if the default Runtime was shut down; keep the
-		// historical behavior (degraded to inline serial), consistent
-		// with PeelParallel's fallback.
-		return mphf.Build(keys, mphf.DefaultGamma, seed, 10)
-	}
-	return f, err
+	return DefaultRuntime().BuildMPHF(context.Background(), keys, seed)
 }
 
 // ErrMPHFBuildFailed is the sentinel wrapped by MPHF build errors when
@@ -217,15 +151,6 @@ func BuildStaticMap(keys, values []uint64, seed uint64) (*StaticMap, error) {
 	return bloomier.Build(keys, values, bloomier.DefaultGamma, seed, 10)
 }
 
-// BuildStaticMapParallel builds the same map as BuildStaticMap.
-//
-// Deprecated: the subround construction pipeline has been folded into
-// the single ordered-path implementation (fully parallel and bit-stable
-// at every worker count), so this is now an alias of BuildStaticMap.
-func BuildStaticMapParallel(keys, values []uint64, seed uint64) (*StaticMap, error) {
-	return BuildStaticMap(keys, values, seed)
-}
-
 // PeelDepths returns, per vertex, the parallel round in which it would be
 // peeled (core.InCore = -1 for k-core members) — the structural "peeling
 // wave" the branching-process analysis models.
@@ -249,13 +174,7 @@ func NewRandomXORSAT(n, m, r int, seed uint64) *XORSATInstance {
 // servers should use Runtime.Reconcile for cancellation and admission
 // control.
 func ReconcileSets(local, remote []uint64, seed uint64, headroom float64) (onlyLocal, onlyRemote []uint64, wireBytes int, err error) {
-	onlyLocal, onlyRemote, wireBytes, err = DefaultRuntime().Reconcile(context.Background(), local, remote, seed, headroom)
-	if errors.Is(err, ErrRuntimeClosed) {
-		// See BuildMPHF: preserve pre-Runtime behavior after a default-
-		// Runtime shutdown.
-		return iblt.Reconcile(local, remote, seed, headroom)
-	}
-	return onlyLocal, onlyRemote, wireBytes, err
+	return DefaultRuntime().Reconcile(context.Background(), local, remote, seed, headroom)
 }
 
 // SolveXORSAT solves an instance by peeling plus Gaussian elimination on
@@ -267,61 +186,6 @@ func SolveXORSAT(in *XORSATInstance) ([]uint8, error) {
 }
 
 // WorkerPool is a persistent set of worker goroutines shared by peeling
-// jobs. A Runtime owns one (Runtime.Pool exposes it); the deprecated
-// ...WithPool / Options.Pool entry points accept one directly.
+// jobs. A Runtime owns one: Runtime.Pool exposes it, and Runtime.Go hands
+// it to each job for the internal ...Ctx(ctx, ..., pool) entry points.
 type WorkerPool = parallel.Pool
-
-// NewWorkerPool starts a pool of the given size (workers <= 0 selects
-// GOMAXPROCS). Close it when done.
-//
-// Deprecated: use NewRuntime, which owns a pool, adds admission control,
-// cancellation, graceful Shutdown, and Stats. NewWorkerPool remains for
-// callers of the deprecated ...WithPool entry points.
-func NewWorkerPool(workers int) *WorkerPool { return parallel.NewPool(workers) }
-
-// JobGroup runs independent peeling jobs concurrently on one shared
-// WorkerPool; see NewJobGroup.
-//
-// Deprecated: use Runtime.Go, which adds context-aware admission and
-// cancellation and is drained by Runtime.Shutdown.
-type JobGroup = parallel.Group
-
-// NewJobGroup returns a JobGroup whose jobs execute on pool. maxJobs > 0
-// bounds how many jobs run simultaneously (admission control for
-// servers); <= 0 means unbounded. Each job receives the shared pool and
-// should call the ...WithPool variants so all its parallelism stays on
-// it.
-//
-// Deprecated: use Runtime.Go with NewRuntime — the same admission
-// bound (RuntimeOptions.MaxJobs) plus context cancellation:
-//
-//	rt := repro.NewRuntime(repro.RuntimeOptions{MaxJobs: 8})
-//	defer rt.Shutdown(context.Background())
-//	for _, req := range requests {
-//	    wait, _ := rt.Go(ctx, func(ctx context.Context, p *repro.WorkerPool) error {
-//	        res, err := req.table.DecodeParallelFrontierCtx(ctx, p)
-//	        ...
-//	    })
-//	}
-func NewJobGroup(pool *WorkerPool, maxJobs int) *JobGroup { return pool.NewGroup(maxJobs) }
-
-// BuildMPHFWithPool is BuildMPHF on an explicit shared pool.
-//
-// Deprecated: use Runtime.BuildMPHF.
-func BuildMPHFWithPool(keys []uint64, seed uint64, pool *WorkerPool) (*MPHF, error) {
-	return mphf.BuildWithPool(keys, mphf.DefaultGamma, seed, 10, pool)
-}
-
-// BuildStaticMapWithPool is BuildStaticMap on an explicit shared pool.
-//
-// Deprecated: use Runtime.BuildStaticMap.
-func BuildStaticMapWithPool(keys, values []uint64, seed uint64, pool *WorkerPool) (*StaticMap, error) {
-	return bloomier.BuildWithPool(keys, values, bloomier.DefaultGamma, seed, 10, pool)
-}
-
-// ReconcileSetsWithPool is ReconcileSets on an explicit shared pool.
-//
-// Deprecated: use Runtime.Reconcile.
-func ReconcileSetsWithPool(local, remote []uint64, seed uint64, headroom float64, pool *WorkerPool) (onlyLocal, onlyRemote []uint64, wireBytes int, err error) {
-	return iblt.ReconcileWithPool(local, remote, seed, headroom, pool)
-}

@@ -51,9 +51,9 @@ func TestFacadePredictRounds(t *testing.T) {
 
 func TestFacadeSubtables(t *testing.T) {
 	g := NewPartitionedHypergraph(80000, 56000, 4, 2)
-	res := PeelSubtables(g, 2)
-	if !res.Empty() {
-		t.Fatal("facade subtable peel failed")
+	res, err := DefaultRuntime().PeelSubtables(context.Background(), g, 2, PeelOptions{})
+	if err != nil || !res.Empty() {
+		t.Fatalf("facade subtable peel failed: %v", err)
 	}
 	if res.Subrounds < res.Rounds {
 		t.Errorf("subrounds %d < rounds %d", res.Subrounds, res.Rounds)

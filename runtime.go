@@ -296,8 +296,8 @@ var (
 )
 
 // DefaultRuntime returns the lazily created process-wide Runtime backing
-// the package's one-shot convenience functions (PeelParallel, BuildMPHF,
-// ReconcileSets, ...). It runs on the process-wide default worker pool
+// the package's one-shot convenience functions (BuildMPHF,
+// ReconcileSets). It runs on the process-wide default worker pool
 // (shared with parallel.Default) with unbounded admission and the zero
 // Policy. Servers should create their own Runtime to pick
 // Workers/MaxJobs/Policy and to own shutdown.
@@ -305,10 +305,9 @@ var (
 // The default Runtime is supervised: if some component shuts it down,
 // the next DefaultRuntime call replaces it with a fresh one on a fresh
 // default pool (parallel.Default is likewise self-healing), so the
-// package-level helpers recover full parallelism instead of degrading
-// to inline serial execution for the rest of the process. Handles to
-// the old Runtime keep their post-shutdown semantics (ErrRuntimeClosed,
-// serial fallbacks in the facade helpers).
+// package-level helpers keep working for the rest of the process.
+// Handles to the old Runtime keep their post-shutdown semantics
+// (ErrRuntimeClosed).
 func DefaultRuntime() *Runtime {
 	defaultRuntimeMu.Lock()
 	defer defaultRuntimeMu.Unlock()
@@ -327,8 +326,8 @@ func DefaultRuntime() *Runtime {
 // Workers returns the size of the Runtime's worker pool.
 func (rt *Runtime) Workers() int { return rt.core.pool.Workers() }
 
-// Pool returns the underlying shared worker pool, for interoperating
-// with the deprecated ...WithPool entry points during migration.
+// Pool returns the underlying shared worker pool, for callers that pass
+// it to the internal ...Ctx(ctx, ..., pool) entry points directly.
 func (rt *Runtime) Pool() *WorkerPool { return rt.core.pool }
 
 // Stats returns a snapshot of the Runtime's backpressure and failure
@@ -460,8 +459,7 @@ func (rt *Runtime) execute(ctx context.Context, job func(ctx context.Context, po
 }
 
 // Go submits an arbitrary job to run asynchronously on the shared pool —
-// the escape hatch subsuming the deprecated JobGroup for workloads the
-// typed methods don't cover. The job receives ctx and the shared pool
+// the escape hatch for workloads the typed methods don't cover. The job receives ctx and the shared pool
 // and should pass them to the ctx-aware entry points (or check ctx at
 // its own barriers). Go blocks only for admission (MaxJobs), respecting
 // ctx; it returns a wait function that blocks until the job finishes and

@@ -38,8 +38,12 @@ func TestRuntimeServesAllWorkloads(t *testing.T) {
 	if err != nil || !res.Empty() {
 		t.Fatalf("Peel: err=%v empty=%v", err, err == nil && res.Empty())
 	}
-	if want := PeelParallel(g, 2); res.Rounds != want.Rounds || res.CoreVertices != want.CoreVertices {
-		t.Fatalf("Runtime.Peel diverges from PeelParallel: %d/%d vs %d/%d",
+	want, err := DefaultRuntime().Peel(ctx, g, 2, PeelOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rounds != want.Rounds || res.CoreVertices != want.CoreVertices {
+		t.Fatalf("Runtime.Peel diverges from the default Runtime: %d/%d vs %d/%d",
 			res.Rounds, res.CoreVertices, want.Rounds, want.CoreVertices)
 	}
 	pg := NewPartitionedHypergraph(3*20000, 40000, 3, 2)

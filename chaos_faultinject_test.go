@@ -5,12 +5,15 @@ package repro
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/bloomier"
 	"repro/internal/faultinject"
 	"repro/internal/layout"
+	"repro/internal/mphf"
 )
 
 // Chaos scenario: a rebuild-while-serve loop under an injected worker
@@ -201,6 +204,36 @@ func TestChaosBuildRetryEscalatesSeed(t *testing.T) {
 	faultinject.Arm(faultinject.MPHFAttempt, faultinject.FailFirst(10, errors.New("forced 2-core")))
 	if _, err := rt.WithPolicy(Policy{}).BuildMPHF(ctx, keys, 99); !errors.Is(err, ErrMPHFBuildFailed) {
 		t.Fatalf("no-retry build = %v, want ErrMPHFBuildFailed", err)
+	}
+}
+
+// Chaos scenario: the attempt failpoints force failures that have no
+// real survivor set — every attempt's 2-core is empty — so they must
+// report ErrBuildFailed with the forced survivor count, never a false
+// ErrDuplicateKeys from the builders' survivor check.
+func TestChaosForcedAttemptFailureIsNotDuplicate(t *testing.T) {
+	defer faultinject.Reset()
+	keys := testRuntimeKeys(3000, 23)
+
+	faultinject.Arm(faultinject.MPHFAttempt, faultinject.FailFirst(3, errors.New("forced 2-core")))
+	_, err := mphf.Build(keys, mphf.DefaultGamma, 5, 3)
+	if !errors.Is(err, ErrMPHFBuildFailed) || errors.Is(err, mphf.ErrDuplicateKeys) {
+		t.Fatalf("forced MPHF failure: err = %v, want ErrMPHFBuildFailed", err)
+	}
+	if got := faultinject.Hits(faultinject.MPHFAttempt); got != 3 {
+		t.Errorf("MPHF attempts = %d, want 3", got)
+	}
+
+	faultinject.Arm(faultinject.BloomierAttempt, faultinject.FailFirst(3, errors.New("forced 2-core")))
+	_, err = bloomier.Build(keys, keys, bloomier.DefaultGamma, 5, 3)
+	if !errors.Is(err, ErrStaticMapBuildFailed) || errors.Is(err, mphf.ErrDuplicateKeys) {
+		t.Fatalf("forced static-map failure: err = %v, want ErrStaticMapBuildFailed", err)
+	}
+	if got := faultinject.Hits(faultinject.BloomierAttempt); got != 3 {
+		t.Errorf("static-map attempts = %d, want 3", got)
+	}
+	if !strings.Contains(err.Error(), "3000 edges left in 2-core after attempt 3") {
+		t.Errorf("forced failure does not report the forced survivor count: %v", err)
 	}
 }
 

@@ -28,7 +28,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faultinject"
-	"repro/internal/hypergraph"
 	"repro/internal/layout"
 	"repro/internal/parallel"
 	"repro/internal/rng"
@@ -49,21 +48,25 @@ type Filter struct {
 }
 
 // ErrBuildFailed is returned when peeling leaves a non-empty 2-core on
-// every attempted seed (with distinct keys this is astronomically rare
-// at γ = 1.23; the usual cause is duplicate keys). The returned error
-// wraps it together with the final attempt's survivor count ("N edges
-// left in 2-core after attempt T"), so errors.Is(err, ErrBuildFailed)
-// works and the message says how close the last attempt came — the
-// number to look at when tuning gamma or maxTries.
+// every attempted seed, which with distinct keys is astronomically rare
+// at γ = 1.23. Duplicate keys return ErrDuplicateKeys after one attempt
+// instead (rejecting them costs one failed peel attempt). The error
+// wraps ErrBuildFailed with the last attempt's survivor count ("N edges
+// left in 2-core after attempt T"), the number to look at when tuning
+// gamma or maxTries.
 var ErrBuildFailed = errors.New("bloomier: construction failed on all attempts")
 
+// ErrDuplicateKeys is returned, wrapped with one repeated key, when the
+// key set has duplicates. It is core.ErrDuplicateKeys, as in internal/mphf.
+var ErrDuplicateKeys = core.ErrDuplicateKeys
+
 // Build constructs a filter mapping keys[i] → values[i]. Keys must be
-// distinct. gamma is the slot/key ratio (use DefaultGamma); maxTries
-// bounds seed retries. The whole build path — hashing, index build, the
-// ordered parallel peel, and round-parallel back-substitution — runs on
-// the process-wide default pool; use BuildCtx to pin it to an explicit
-// one. The resulting filter is identical either way and at every pool
-// size.
+// distinct (duplicates return ErrDuplicateKeys). gamma is the slot/key
+// ratio (use DefaultGamma); maxTries bounds seed retries. The whole
+// build path — hashing, index build, the ordered parallel peel, and
+// round-parallel back-substitution — runs on the process-wide default
+// pool; use BuildCtx to pin it to an explicit one. The resulting filter
+// is identical either way and at every pool size.
 //
 //peelvet:deterministic
 func Build(keys, values []uint64, gamma float64, seed uint64, maxTries int) (*Filter, error) {
@@ -137,35 +140,19 @@ func attemptSeeds(seed uint64, try int) (attemptSeed uint64, hseed [arity]uint64
 	return
 }
 
-// hashEdges maps every key to its three slots in parallel (each key's
-// vertices depend only on the key and the attempt seeds, so the result
-// is independent of the pool size).
-func hashEdges(keys []uint64, hseed [arity]uint64, subSize int, pool *parallel.Pool) []uint32 {
-	edges := make([]uint32, len(keys)*arity)
-	pool.For(len(keys), 2048, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			vs := layout.VertexTriple(hseed, subSize, keys[i])
-			copy(edges[i*arity:], vs[:])
-		}
-	})
-	return edges
-}
-
-// buildAttempt peels the key hypergraph for one seed attempt and, on an
-// empty 2-core, back-substitutes the slot values straight into a
-// freshly allocated flat image — slots[v0] ^ slots[v1] ^ slots[v2] =
-// value for every key — and seals it; a non-empty 2-core returns (nil,
-// survivors, nil) so the retry loop can surface the count through
-// ErrBuildFailed. The peel is the ordered round-synchronous process and
-// back-substitution walks its rounds in reverse, the edges of one round
-// in parallel — sound for k = 2: within a round every peeled edge has a
-// distinct free vertex and non-free endpoints finalize strictly later
-// (see core.OrderedResult). ctx is checked at every round barrier.
+// buildAttempt peels the key hypergraph for one seed attempt
+// (core.PeelKeys, which also rejects duplicate keys) and, on an empty
+// 2-core, back-substitutes the slot values straight into a freshly
+// allocated flat image — slots[v0] ^ slots[v1] ^ slots[v2] = value for
+// every key — and seals it; a non-empty 2-core returns (nil, survivors,
+// nil) for the retry loop. Back-substitution walks the peel rounds in
+// reverse, the edges of one round in parallel — sound for k = 2: within
+// a round every peeled edge has a distinct free vertex and non-free
+// endpoints finalize strictly later (see core.OrderedResult). ctx is
+// checked at every round barrier.
 func buildAttempt(ctx context.Context, keys, values []uint64, attemptSeed uint64, hseed [arity]uint64, m, subSize int, pool *parallel.Pool) (*layout.Image, int, error) {
-	n := subSize * arity
-	edges := hashEdges(keys, hseed, subSize, pool)
-	g := hypergraph.FromEdgesWithPool(n, arity, edges, subSize, pool)
-	ord, err := core.ParallelOrderCtx(ctx, g, 2, core.Options{Pool: pool})
+	hash := func(x uint64) [arity]uint32 { return layout.VertexTriple(hseed, subSize, x) }
+	g, ord, err := core.PeelKeys(ctx, keys, subSize, hash, pool)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -2,6 +2,7 @@ package bloomier
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -60,6 +61,26 @@ func TestSmallMaps(t *testing.T) {
 func TestLengthMismatch(t *testing.T) {
 	if _, err := Build([]uint64{1, 2}, []uint64{1}, DefaultGamma, 1, 5); err == nil {
 		t.Fatal("length mismatch accepted")
+	}
+}
+
+// TestDuplicateKeysRejected: duplicate keys return ErrDuplicateKeys
+// from the first attempt instead of exhausting the seed retries — a
+// tiny set, and a single repeated key far apart among 2^17 keys at
+// every pool size with maxTries = 1.
+func TestDuplicateKeysRejected(t *testing.T) {
+	if _, err := Build([]uint64{1, 2, 3, 2}, []uint64{5, 6, 7, 8}, DefaultGamma, 1, 5); !errors.Is(err, ErrDuplicateKeys) {
+		t.Fatalf("small set: err = %v, want ErrDuplicateKeys", err)
+	}
+	keys, values := buildInputs(1<<17, 5)
+	keys[len(keys)-3] = keys[2]
+	for _, workers := range []int{1, 3, 8} {
+		pool := parallel.NewPool(workers)
+		_, err := BuildCtx(context.Background(), keys, values, DefaultGamma, 7, 1, pool)
+		pool.Close()
+		if !errors.Is(err, ErrDuplicateKeys) || errors.Is(err, ErrBuildFailed) {
+			t.Fatalf("workers=%d: err = %v, want ErrDuplicateKeys", workers, err)
+		}
 	}
 }
 

@@ -2,11 +2,13 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"sync/atomic"
 
 	"repro/internal/hypergraph"
+	"repro/internal/parallel"
 )
 
 // OrderedResult extends Result with the artifacts the data-structure
@@ -218,6 +220,49 @@ func ParallelOrderCtx(ctx context.Context, g *hypergraph.Hypergraph, k int, opts
 	}
 	s.finish(&res.Result)
 	return res, nil
+}
+
+// ErrDuplicateKeys is returned by PeelKeys, and so by the MPHF and
+// Bloomier builders, when the key set holds some key more than once.
+var ErrDuplicateKeys = errors.New("duplicate keys")
+
+// PeelKeys is one attempt of the hash-and-peel builders (internal/mphf,
+// internal/bloomier): on pool, key i becomes edge hash(keys[i]) of a
+// 3-partite hypergraph with parts of subSize vertices, which
+// ParallelOrderCtx peels to its 2-core. Equal keys hash to identical
+// edges, whose vertices keep degree ≥ 2, so every duplicated key
+// survives into the core under any seed: PeelKeys checks only a
+// non-empty core's keys and returns an error wrapping ErrDuplicateKeys
+// if two are equal. A non-empty core with a nil error means the keys
+// are distinct.
+func PeelKeys(ctx context.Context, keys []uint64, subSize int, hash func(x uint64) [3]uint32, pool *parallel.Pool) (*hypergraph.Hypergraph, *OrderedResult, error) {
+	edges := make([]uint32, len(keys)*3)
+	if err := pool.ForCtx(ctx, len(keys), 2048, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			vs := hash(keys[i])
+			copy(edges[i*3:], vs[:])
+		}
+	}); err != nil {
+		return nil, nil, err
+	}
+	g := hypergraph.FromEdgesWithPool(3*subSize, 3, edges, subSize, pool)
+	ord, err := ParallelOrderCtx(ctx, g, 2, Options{Pool: pool})
+	if err != nil || ord.Empty() {
+		return g, ord, err
+	}
+	left := make([]uint64, 0, ord.CoreEdges)
+	for e, alive := range ord.EdgeAlive {
+		if alive != 0 {
+			left = append(left, keys[e])
+		}
+	}
+	slices.Sort(left)
+	for i := 1; i < len(left); i++ {
+		if left[i] == left[i-1] {
+			return nil, nil, fmt.Errorf("%w: %#x appears more than once", ErrDuplicateKeys, left[i])
+		}
+	}
+	return g, ord, nil
 }
 
 // claimMin lowers *addr to v if v is smaller, atomically — the

@@ -22,9 +22,6 @@ import (
 // path. Like the real builder it writes its arrays straight into a
 // flat layout image.
 func buildSerialPeel(keys []uint64, gamma float64, seed uint64, maxTries int) (*MPHF, error) {
-	if err := checkDistinct(keys); err != nil { // Build pays this too
-		return nil, err
-	}
 	m := len(keys)
 	subSize := int(gamma*float64(m))/arity + 1
 	if subSize < 2 {

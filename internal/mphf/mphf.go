@@ -20,12 +20,10 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"slices"
 	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/faultinject"
-	"repro/internal/hypergraph"
 	"repro/internal/layout"
 	"repro/internal/parallel"
 	"repro/internal/rng"
@@ -50,16 +48,17 @@ type MPHF struct {
 }
 
 // ErrBuildFailed is returned when every seed attempt left a non-empty
-// 2-core, which for distinct keys at γ ≥ 1.23 is astronomically unlikely;
-// the usual cause is duplicate keys. The returned error wraps it
-// together with the final attempt's survivor count ("N edges left in
-// 2-core after attempt T"), so errors.Is(err, ErrBuildFailed) works and
-// the message says how close the last attempt came — the number to look
-// at when tuning gamma or maxTries.
+// 2-core, which for distinct keys at γ ≥ 1.23 is astronomically
+// unlikely. Duplicate keys return ErrDuplicateKeys after one attempt
+// instead (rejecting them costs one failed peel attempt, not a sort of
+// every build's keys). The error wraps ErrBuildFailed with the last
+// attempt's survivor count ("N edges left in 2-core after attempt T"),
+// the number to look at when tuning gamma or maxTries.
 var ErrBuildFailed = errors.New("mphf: construction failed on all attempts")
 
-// ErrDuplicateKeys is returned when the key set contains duplicates.
-var ErrDuplicateKeys = errors.New("mphf: duplicate keys")
+// ErrDuplicateKeys is returned, wrapped with one repeated key, when the
+// key set has duplicates. It is core.ErrDuplicateKeys, as in internal/bloomier.
+var ErrDuplicateKeys = core.ErrDuplicateKeys
 
 // Build constructs an MPHF for the distinct keys using the given
 // vertex/key ratio gamma (use DefaultGamma) and an initial seed; it
@@ -100,9 +99,6 @@ func BuildCtx(ctx context.Context, keys []uint64, gamma float64, seed uint64, ma
 	}
 	if maxTries <= 0 {
 		maxTries = 10
-	}
-	if err := checkDistinct(keys); err != nil {
-		return nil, err
 	}
 	m := len(keys)
 	subSize := int(gamma*float64(m))/arity + 1
@@ -146,40 +142,15 @@ func attemptSeeds(seed uint64, try int) (attemptSeed uint64, hseed [arity]uint64
 	return
 }
 
-func checkDistinct(keys []uint64) error {
-	sorted := append([]uint64(nil), keys...)
-	slices.Sort(sorted) // ~4× the reflection-based sort.Slice on uint64s
-	for i := 1; i < len(sorted); i++ {
-		if sorted[i] == sorted[i-1] {
-			return ErrDuplicateKeys
-		}
-	}
-	return nil
-}
-
-// buildAttempt peels the key hypergraph for one seed attempt and, on an
-// empty 2-core, writes the g values, used bitmap, and rank directory
-// into a freshly allocated flat image and seals it; a non-empty 2-core
-// returns (nil, survivors, nil) so the retry loop can surface the count
-// through ErrBuildFailed. Every phase runs on the pool: edge hashing
-// and the CSR build fan out chunk-wise (each key's vertices depend only
-// on the key and the attempt seeds, so parallel hashing is
-// deterministic), the peel is the ordered round-synchronous process,
-// and the g-value assignment walks the peel rounds in reverse with full
-// parallelism inside each round. ctx is checked at every round barrier.
+// buildAttempt peels the key hypergraph for one seed attempt
+// (core.PeelKeys, which also rejects duplicate keys) and, on an empty
+// 2-core, writes the g values, used bitmap, and rank directory into a
+// freshly allocated flat image and seals it; a non-empty 2-core returns
+// (nil, survivors, nil) for the retry loop. ctx is checked at every
+// round barrier.
 func buildAttempt(ctx context.Context, keys []uint64, attemptSeed uint64, hseed [arity]uint64, m, subSize int, pool *parallel.Pool) (*layout.Image, int, error) {
-	n := subSize * arity
-	edges := make([]uint32, len(keys)*arity)
-	if err := pool.ForCtx(ctx, len(keys), 2048, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			vs := layout.VertexTriple(hseed, subSize, keys[i])
-			copy(edges[i*arity:], vs[:])
-		}
-	}); err != nil {
-		return nil, 0, err
-	}
-	g := hypergraph.FromEdgesWithPool(n, arity, edges, subSize, pool)
-	ord, err := core.ParallelOrderCtx(ctx, g, 2, core.Options{Pool: pool})
+	hash := func(x uint64) [arity]uint32 { return layout.VertexTriple(hseed, subSize, x) }
+	g, ord, err := core.PeelKeys(ctx, keys, subSize, hash, pool)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -276,11 +247,6 @@ func (f *MPHF) Keys() int { return f.im.Keys }
 // Vertices returns the internal table size (≈ γ·m); the bits-per-key cost
 // is 2·Vertices()/Keys() plus the rank directory.
 func (f *MPHF) Vertices() int { return f.im.Vertices() }
-
-// vertices returns the three vertices of key x, one per part.
-func (f *MPHF) vertices(x uint64) [arity]uint32 {
-	return layout.VertexTriple(f.im.HSeed, f.im.SubSize, x)
-}
 
 // Lookup returns the index in [0, Keys()) assigned to key x. For keys not
 // in the build set the result is arbitrary (but in range for any x whose

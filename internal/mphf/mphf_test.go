@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -70,6 +71,26 @@ func TestDuplicateKeysRejected(t *testing.T) {
 	keys := []uint64{1, 2, 3, 2}
 	if _, err := Build(keys, DefaultGamma, 1, 5); !errors.Is(err, ErrDuplicateKeys) {
 		t.Fatalf("expected ErrDuplicateKeys, got %v", err)
+	}
+}
+
+// TestDuplicatePairRejected: a single repeated key, its two copies far
+// apart among 2^17 keys, is found in the first attempt's 2-core —
+// maxTries = 1 leaves no second attempt — at every pool size, and the
+// error names the key.
+func TestDuplicatePairRejected(t *testing.T) {
+	keys := randomKeys(1<<17, 5)
+	keys[len(keys)-3] = keys[2]
+	for _, workers := range []int{1, 3, 8} {
+		pool := parallel.NewPool(workers)
+		_, err := BuildCtx(context.Background(), keys, DefaultGamma, 7, 1, pool)
+		pool.Close()
+		if !errors.Is(err, ErrDuplicateKeys) || errors.Is(err, ErrBuildFailed) {
+			t.Fatalf("workers=%d: err = %v, want ErrDuplicateKeys", workers, err)
+		}
+		if !strings.Contains(err.Error(), fmt.Sprintf("%#x", keys[2])) {
+			t.Fatalf("workers=%d: error %q does not name key %#x", workers, err, keys[2])
+		}
 	}
 }
 

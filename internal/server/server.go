@@ -499,7 +499,7 @@ func classify(err error) (Code, string) {
 		errors.Is(err, mphf.ErrBuildFailed),
 		errors.Is(err, bloomier.ErrBuildFailed):
 		return CodeFailed, err.Error()
-	case errors.Is(err, mphf.ErrDuplicateKeys):
+	case errors.Is(err, mphf.ErrDuplicateKeys): // bloomier.ErrDuplicateKeys is the same error
 		return CodeBadRequest, err.Error()
 	default:
 		return CodeInternal, err.Error()

@@ -202,6 +202,33 @@ func TestShortPayloadGetsTypedReply(t *testing.T) {
 	}
 }
 
+// TestDuplicateBuildKeysBadRequest: a build whose key set repeats a
+// key is the client's fault, so classify maps the builders'
+// ErrDuplicateKeys to BAD_REQUEST, not to FAILED (the unlucky-seed
+// failure another seed may fix), and the connection stays usable for
+// the next request.
+func TestDuplicateBuildKeysBadRequest(t *testing.T) {
+	_, addr := startServer(t, Options{Workers: 2})
+	nc := dialRaw(t, addr)
+
+	keys := testKeys(5000, 3)
+	dup := append([]uint64(nil), keys...)
+	dup[len(dup)-1] = dup[0]
+	nc.Write(appendFrame(nil, OpBuildMPHF, 1, EncodeBuildReq(0, 9, dup)))
+	typ, id, payload := readReply(t, nc)
+	if typ != TypeError || id != 1 {
+		t.Fatalf("reply typ=%#x id=%d, want ERROR id=1", typ, id)
+	}
+	if e, err := ParseError(payload); err != nil || e.Code != CodeBadRequest {
+		t.Fatalf("duplicate keys: %v (parse err %v), want BAD_REQUEST", e, err)
+	}
+
+	nc.Write(appendFrame(nil, OpBuildMPHF, 2, EncodeBuildReq(0, 9, keys)))
+	if typ, id, _ := readReply(t, nc); typ != TypeResult || id != 2 {
+		t.Fatalf("build after the rejected one: typ=%#x id=%d, want RESULT id=2", typ, id)
+	}
+}
+
 // TestHostileHeadroomRejected: the reconcile headroom multiplies a
 // server-side allocation (the difference table), so values beyond
 // iblt.MaxHeadroom must be refused as BAD_REQUEST at parse time — a

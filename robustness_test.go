@@ -10,7 +10,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bloomier"
 	"repro/internal/layout"
+	"repro/internal/mphf"
 	"repro/internal/parallel"
 )
 
@@ -178,6 +180,58 @@ func TestPolicyCallerDeadlineWins(t *testing.T) {
 	}
 	if jerr := wait(); !errors.Is(jerr, context.DeadlineExceeded) {
 		t.Fatalf("job error = %v, want the caller's earlier deadline", jerr)
+	}
+}
+
+// TestPolicyDuplicateKeysNotRetried: a duplicated key fails both
+// builders with ErrDuplicateKeys after one seed attempt, even under a
+// Policy with BuildRetries > 0. A barrier-counting context shows it:
+// Runtime.BuildMPHF / BuildStaticMap (a 10-seed ladder, retried by the
+// policy) cross exactly as many barriers as a job running the builder
+// with maxTries = 1 — no second attempt and no seed escalation.
+func TestPolicyDuplicateKeysNotRetried(t *testing.T) {
+	rt := NewRuntime(RuntimeOptions{Workers: 2, Policy: Policy{BuildRetries: 3}})
+	defer rt.Shutdown(context.Background())
+
+	keys := testRuntimeKeys(50000, 41)
+	keys[len(keys)-1] = keys[0]
+	values := append([]uint64(nil), keys...)
+
+	cases := []struct {
+		name    string
+		runtime func(ctx context.Context) error
+		once    func(ctx context.Context, pool *WorkerPool) error
+	}{
+		{"BuildMPHF",
+			func(ctx context.Context) error { _, err := rt.BuildMPHF(ctx, keys, 42); return err },
+			func(ctx context.Context, pool *WorkerPool) error {
+				_, err := mphf.BuildCtx(ctx, keys, mphf.DefaultGamma, 42, 1, pool)
+				return err
+			}},
+		{"BuildStaticMap",
+			func(ctx context.Context) error { _, err := rt.BuildStaticMap(ctx, keys, values, 42); return err },
+			func(ctx context.Context, pool *WorkerPool) error {
+				_, err := bloomier.BuildCtx(ctx, keys, values, bloomier.DefaultGamma, 42, 1, pool)
+				return err
+			}},
+	}
+	for _, c := range cases {
+		one := &buildBarrierCtx{cancelAfter: 1 << 30}
+		wait, err := rt.Go(one, c.once)
+		if err == nil {
+			err = wait()
+		}
+		if !errors.Is(err, mphf.ErrDuplicateKeys) {
+			t.Fatalf("%s, one attempt: err = %v, want ErrDuplicateKeys", c.name, err)
+		}
+		cc := &buildBarrierCtx{cancelAfter: 1 << 30}
+		err = c.runtime(cc)
+		if !errors.Is(err, mphf.ErrDuplicateKeys) || errors.Is(err, ErrMPHFBuildFailed) || errors.Is(err, ErrStaticMapBuildFailed) {
+			t.Fatalf("%s under BuildRetries 3: err = %v, want ErrDuplicateKeys", c.name, err)
+		}
+		if got, want := cc.calls.Load(), one.calls.Load(); got != want {
+			t.Errorf("%s under BuildRetries 3 crossed %d barriers, one attempt crosses %d: the build was retried", c.name, got, want)
+		}
 	}
 }
 

@@ -11,10 +11,10 @@ import (
 // buildBarrierCtx counts Err() calls and cancels after the nth — the
 // internal/core/cancel_test.go pattern lifted to the facade. The build
 // path checks ctx exactly once per barrier it crosses (job admission,
-// each retry attempt, the ordered peel's entry and every round
+// each retry attempt, the key peel's entry and every subround
 // barrier), so the call count measures structurally how far a canceled
 // build ran: cancellation at call n must return without a single
-// further check, i.e. within one peel round of extra work.
+// further check, i.e. within one peel subround of extra work.
 type buildBarrierCtx struct {
 	calls       atomic.Int64
 	cancelAfter int64

@@ -22,7 +22,7 @@ func main() {
 	xs := flag.Bool("xorsat", true, "XORSAT regime sweep")
 	ensembles := flag.Bool("ensembles", true, "degree-ensemble comparison")
 	construct := flag.Bool("construct", false, "sequential vs pooled instance-construction timing")
-	build := flag.Bool("build", false, "builder path: sequential vs ordered parallel peel + end-to-end MPHF build")
+	build := flag.Bool("build", false, "builder path: sequential vs subround key peel + end-to-end MPHF build")
 	workers := flag.Int("workers", 0, "worker pool size for parallel peeling (0 = GOMAXPROCS)")
 	flag.Parse()
 
@@ -41,7 +41,7 @@ func main() {
 	}
 
 	if *build {
-		fmt.Println("== build path: sequential vs ordered parallel peel (MPHF graph, γ=1.23) ==")
+		fmt.Println("== build path: sequential vs subround key peel (MPHF graph, γ=1.23) ==")
 		cfg := experiments.DefaultBuildPath()
 		cfg.Workers = *workers
 		experiments.RenderBuildPath(os.Stdout, cfg.Workers, experiments.RunBuildPath(cfg))

@@ -78,18 +78,21 @@
 // (DefaultRuntime); servers call the Runtime methods instead.
 //
 // The data-structure builders consume a peel order and an edge → vertex
-// orientation, produced by the ordered parallel peel
-// (Runtime.PeelOrdered): the round-synchronous process with a
-// minimum-endpoint claim rule, whose round-major PeelOrder/FreeVertex
-// output is bit-identical at every worker count. Reverse round-major
-// order is a valid elimination order for k = 2 — within a round every
-// peeled edge has a distinct free vertex and non-free endpoints
-// finalize strictly later — so the MPHF g-value assignment and the
-// Bloomier back-substitution run round-parallel too: no serial phase
-// remains in BuildMPHF/BuildStaticMap, and a canceled build stops at
-// the next round barrier rather than the next phase. Failed builds
-// report the last attempt's 2-core survivor count through
-// ErrMPHFBuildFailed / ErrStaticMapBuildFailed.
+// orientation, produced by the subround key peel (core.PeelKeys): the
+// Appendix B process on the 3-partite key hypergraph, run with only a
+// live degree and a sum of live edge ids per vertex, as in IBLT
+// decoding. Every edge meets each subround's part in exactly one
+// vertex, so it has a unique releaser and the subround-major
+// PeelOrder/FreeVertex output is bit-identical at every worker count
+// with no claim. Reverse subround-major order is a valid elimination
+// order — within a subround every peeled edge has a distinct free
+// vertex, and non-free endpoints lie in other parts and finalize
+// strictly later — so the MPHF g-value assignment and the Bloomier
+// back-substitution run subround-parallel too: no serial phase remains
+// in BuildMPHF/BuildStaticMap, and a canceled build stops at the next
+// subround barrier rather than the next phase. Failed builds report
+// the last attempt's 2-core survivor count through ErrMPHFBuildFailed /
+// ErrStaticMapBuildFailed.
 //
 // # Failure policy and fault tolerance
 //

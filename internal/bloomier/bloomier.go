@@ -63,10 +63,10 @@ var ErrDuplicateKeys = core.ErrDuplicateKeys
 // Build constructs a filter mapping keys[i] → values[i]. Keys must be
 // distinct (duplicates return ErrDuplicateKeys). gamma is the slot/key
 // ratio (use DefaultGamma); maxTries bounds seed retries. The whole
-// build path — hashing, index build, the ordered parallel peel, and
-// round-parallel back-substitution — runs on the process-wide default
-// pool; use BuildCtx to pin it to an explicit one. The resulting filter
-// is identical either way and at every pool size.
+// build path — hashing, the subround peel, and segment-parallel
+// back-substitution — runs on the process-wide default pool; use
+// BuildCtx to pin it to an explicit one. The resulting filter is
+// identical either way and at every pool size.
 //
 //peelvet:deterministic
 func Build(keys, values []uint64, gamma float64, seed uint64, maxTries int) (*Filter, error) {
@@ -74,17 +74,18 @@ func Build(keys, values []uint64, gamma float64, seed uint64, maxTries int) (*Fi
 }
 
 // BuildCtx is Build with every construction phase — per-key edge
-// hashing on each retry attempt, the CSR incidence build, the peel, and
-// the back-substitution — run on an explicit worker pool. The peel is
-// the ordered round-synchronous process (core.ParallelOrder), whose
-// round-major order and minimum-endpoint orientation are bit-stable, so
+// hashing on each retry attempt, the peel, and the back-substitution —
+// run on an explicit worker pool. The peel is core.PeelKeys, an
+// Appendix B subround peel of the 3-partite key hypergraph in which
+// every edge has a unique releaser (its endpoint in the subround's
+// part), so its subround-major order and orientation are bit-stable and
 // the resulting filter is byte-identical at every pool size. All
 // per-build state is owned by the call, so many builds may run
 // concurrently on one shared pool.
 //
-// Cancellation is cooperative, checked at every round barrier of every
-// attempt's peel and back-substitution sweep — a canceled build stops
-// within one round of extra work. On cancellation it returns
+// Cancellation is cooperative, checked at every subround barrier of
+// every attempt's peel and back-substitution sweep — a canceled build
+// stops within one subround of extra work. On cancellation it returns
 // (nil, ctx.Err()).
 //
 //peelvet:deterministic
@@ -145,14 +146,15 @@ func attemptSeeds(seed uint64, try int) (attemptSeed uint64, hseed [arity]uint64
 // 2-core, back-substitutes the slot values straight into a freshly
 // allocated flat image — slots[v0] ^ slots[v1] ^ slots[v2] = value for
 // every key — and seals it; a non-empty 2-core returns (nil, survivors,
-// nil) for the retry loop. Back-substitution walks the peel rounds in
-// reverse, the edges of one round in parallel — sound for k = 2: within
-// a round every peeled edge has a distinct free vertex and non-free
-// endpoints finalize strictly later (see core.OrderedResult). ctx is
-// checked at every round barrier.
+// nil) for the retry loop. Back-substitution walks the peel's subrounds
+// in reverse, the edges of one subround in parallel — sound because
+// within a subround every peeled edge has a distinct free vertex and
+// its non-free endpoints, which lie in other parts, finalize strictly
+// later (see core.OrderedResult). ctx is checked at every subround
+// barrier.
 func buildAttempt(ctx context.Context, keys, values []uint64, attemptSeed uint64, hseed [arity]uint64, m, subSize int, pool *parallel.Pool) (*layout.Image, int, error) {
 	hash := func(x uint64) [arity]uint32 { return layout.VertexTriple(hseed, subSize, x) }
-	g, ord, err := core.PeelKeys(ctx, keys, subSize, hash, pool)
+	edges, ord, err := core.PeelKeys(ctx, keys, subSize, hash, pool)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -161,17 +163,17 @@ func buildAttempt(ctx context.Context, keys, values []uint64, attemptSeed uint64
 	}
 	im := layout.NewBloomier(attemptSeed, hseed, m, subSize)
 	slots := im.Slots
-	// Reverse round-major order: the free vertex's slot is still
+	// Reverse subround-major order: the free vertex's slot is still
 	// untouched when its edge is processed, and the other two slots are
 	// final.
-	for t := ord.Rounds; t >= 1; t-- {
+	for t := ord.Segments(); t >= 1; t-- {
 		seg := ord.RoundSegment(t)
 		if err := pool.ForCtx(ctx, len(seg), 1024, func(_, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				e := int(seg[i])
 				free := ord.FreeVertex[e]
 				acc := values[e]
-				for _, u := range g.EdgeVertices(int(e)) {
+				for _, u := range edges[3*e : 3*e+3] {
 					if u != free {
 						acc ^= slots[u]
 					}

@@ -10,6 +10,8 @@
 //   - Subtables: the Appendix B variant used by the paper's GPU IBLT
 //     implementation — each round consists of r subrounds, subround j
 //     peeling only subtable j, which guarantees no item is peeled twice.
+//     PeelKeys runs the same process for the MPHF and Bloomier builders
+//     on a per-vertex degree and edge-id sum, with no incidence index.
 //
 // All three leave exactly the same k-core (peeling is confluent); the
 // tests verify this, and the parallel variants additionally report the

@@ -2,71 +2,80 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"slices"
 	"sync/atomic"
 
 	"repro/internal/hypergraph"
-	"repro/internal/parallel"
 )
 
 // OrderedResult extends Result with the artifacts the data-structure
 // constructions consume — the peel order and the edge → vertex
-// orientation — produced by the round-synchronous parallel process
-// instead of the sequential queue peel.
+// orientation — produced by a round-synchronous parallel peel instead
+// of the sequential queue peel. Two peels produce it, and they differ
+// in what a segment of the order is:
 //
-// PeelOrder is round-major: round 1's edges first, then round 2's, and
-// so on, with each round's segment sorted by edge id at the round
-// barrier. Together with the minimum-endpoint claim rule of
-// ParallelOrder this makes the whole result bit-stable: a given graph
-// and k produce identical PeelOrder, FreeVertex, and RoundOf at every
-// worker count and on every run.
+//   - PeelKeys, the builders' peel, runs Appendix B subrounds on a
+//     3-partite graph; its segments are subrounds. Subround j frees an
+//     edge only through the edge's one part-j endpoint, so every edge
+//     has a unique releaser.
+//   - ParallelOrder peels any hypergraph in plain rounds; its segments
+//     are rounds. Several endpoints of an edge can peel in one round,
+//     and the minimum vertex id frees it.
 //
-// Reverse round-major order is a valid elimination order for k = 2 with
-// full parallelism inside a round: a peeled vertex has at most k-1 = 1
-// live edge, so a round-t edge's non-free endpoints free no edge of
-// round t themselves — they are either free vertices of strictly later
-// rounds or never free anything. Processing rounds in reverse with any
-// (even concurrent) order inside a round therefore only reads finalized
-// values, which is what the parallel assignment sweeps in internal/mphf
-// and internal/bloomier rely on. For k > 2 a vertex may keep up to k-1
-// live edges, within-round dependencies can occur, and only the
-// round-major grouping itself is guaranteed (ValidateEliminationOrder
-// checks the k = 2 property explicitly).
+// PeelOrder is segment-major: segment 1's edges first, then segment
+// 2's, and so on, each segment sorted by edge id. Both peels are
+// bit-stable: a given graph and k produce identical PeelOrder,
+// FreeVertex and RoundOf at every worker count and on every run.
+//
+// Reverse segment-major order is a valid elimination order for k = 2
+// with full parallelism inside a segment. A peeled vertex has at most
+// k−1 = 1 live edge, so a segment's edges have distinct free vertices,
+// and a segment-t edge's non-free endpoints free no edge of segment t
+// or earlier: they still hold that live edge, so they free their own
+// edge in a later segment or never. Processing segments in reverse,
+// with any (even concurrent) order inside one, therefore only reads
+// finalized values, which is what the parallel assignment sweeps in
+// internal/mphf and internal/bloomier rely on. For k > 2 a vertex may
+// keep up to k−1 live edges, within-round dependencies can occur, and
+// only the grouping itself is guaranteed. ValidateEliminationOrder
+// checks the property explicitly.
 type OrderedResult struct {
 	Result
 
-	// PeelOrder lists peeled edges round-major, each round's segment
-	// sorted ascending by edge id.
+	// PeelOrder lists peeled edges segment-major, each segment sorted
+	// ascending by edge id.
 	PeelOrder []uint32
 
 	// FreeVertex[e] is the vertex that released edge e (NoVertex if e is
-	// in the core): the minimum-id endpoint of e peeled in e's round.
-	// Each vertex appears at most k-1 times.
+	// in the core). Each vertex appears at most k-1 times.
 	FreeVertex []uint32
 
-	// RoundOf[e] is the 1-based round that peeled edge e; 0 for edges
-	// left in the core.
+	// RoundOf[e] is the 1-based segment (round or subround) that peeled
+	// edge e; 0 for edges left in the core.
 	RoundOf []int32
 
-	// RoundStart[t] is the end offset of round t's segment in PeelOrder
-	// (RoundStart[0] == 0), so round t's edges are
-	// PeelOrder[RoundStart[t-1]:RoundStart[t]]. len == Rounds+1.
+	// RoundStart[t] is the end offset of segment t in PeelOrder
+	// (RoundStart[0] == 0), so segment t's edges are
+	// PeelOrder[RoundStart[t-1]:RoundStart[t]]. len == Segments()+1.
 	RoundStart []int
 }
 
-// RoundSegment returns the edges peeled in round t (1-based), sorted by
-// edge id.
+// Segments returns the number of segments of PeelOrder: Rounds for
+// ParallelOrder, Subrounds for PeelKeys.
+func (r *OrderedResult) Segments() int { return len(r.RoundStart) - 1 }
+
+// RoundSegment returns the edges peeled in segment t (1-based), sorted
+// by edge id.
 func (r *OrderedResult) RoundSegment(t int) []uint32 {
 	return r.PeelOrder[r.RoundStart[t-1]:r.RoundStart[t]]
 }
 
 // ParallelOrder runs the round-synchronous peeling process of Parallel
-// and additionally produces the peel order and edge orientation that
-// Sequential used to be the only (serial) source of — the artifacts the
-// MPHF and Bloomier builders consume. See OrderedResult for the
-// determinism and elimination-order contracts.
+// and additionally produces the peel order and edge orientation of an
+// OrderedResult, for any hypergraph: Runtime.PeelOrdered runs it. The
+// builders, whose graphs are 3-partite, use PeelKeys instead. See
+// OrderedResult for the determinism and elimination-order contracts.
 //
 // It runs on the round kernel with Parallel's select pass; only the
 // peel differs, as two sub-phases per round. First every peel-set vertex
@@ -79,12 +88,9 @@ func (r *OrderedResult) RoundSegment(t int) []uint32 {
 // would run inline anyway — 1-worker pools and grain-sized tail rounds —
 // use a merged single pass instead; see the peel action.) PeelOrder is
 // reconstructed after the last round with a counting sort over the
-// round tags, which yields every segment already sorted by edge id —
-// the same determinism trick as the stable parallel counting sort in
-// internal/hypergraph, at O(m) instead of per-round sorting. The claim
-// pass costs one more traversal of the peel set per round than
-// Parallel; the Result fields (rounds, history, core) are identical to
-// Parallel's.
+// round tags (segmentOrder). The claim pass costs one more traversal of
+// the peel set per round than Parallel; the Result fields (rounds,
+// history, core) are identical to Parallel's.
 func ParallelOrder(g *hypergraph.Hypergraph, k int, opts Options) *OrderedResult {
 	res, _ := ParallelOrderCtx(context.Background(), g, k, opts)
 	return res
@@ -122,11 +128,10 @@ func ParallelOrderCtx(ctx context.Context, g *hypergraph.Hypergraph, k int, opts
 		// count. Two executions implement the same rule:
 		//
 		//   - inline (1-worker pool, or a peel set that fits one grain —
-		//     i.e. the serial build paths and the small-frontier tail
-		//     rounds, where pool.For would run on the calling goroutine
-		//     anyway): one merged pass over the peel set sorted
-		//     ascending. First-come claiming in ascending vertex order
-		//     IS the minimum rule — every peeling endpoint of an edge
+		//     i.e. serial peels and the small-frontier tail rounds, where
+		//     pool.For would run on the calling goroutine anyway): one
+		//     merged pass over the peel set sorted ascending. First-come
+		//     claiming in ascending vertex order IS the minimum rule — every peeling endpoint of an edge
 		//     attempts it, and the smallest attempts first — and a
 		//     single goroutine needs no atomics and no second pass.
 		//
@@ -194,75 +199,37 @@ func ParallelOrderCtx(ctx context.Context, g *hypergraph.Hypergraph, k int, opts
 	res.Rounds = kern.Rounds
 	res.SurvivorHistory = survivors(g.N, kern.Peeled)
 
-	// Reconstruct the round-major order from the round tags with a
-	// counting sort over rounds: RoundStart is the prefix sum of the
-	// per-round histogram, and scattering edges in ascending id order
-	// leaves every round's segment already sorted — no per-round sort
-	// and no order shards in the round loop, the same stable-counting-
-	// sort trick as the CSR build in internal/hypergraph.
-	counts := make([]int, res.Rounds+1)
-	for e := 0; e < g.M; e++ {
-		if t := res.RoundOf[e]; t > 0 {
-			counts[t]++
-		}
-	}
-	res.RoundStart = make([]int, res.Rounds+1)
-	for t := 1; t <= res.Rounds; t++ {
-		res.RoundStart[t] = res.RoundStart[t-1] + counts[t]
-	}
-	cursors := append([]int(nil), res.RoundStart[:res.Rounds+1]...)
-	res.PeelOrder = make([]uint32, res.RoundStart[res.Rounds])
-	for e := 0; e < g.M; e++ {
-		if t := res.RoundOf[e]; t > 0 {
-			res.PeelOrder[cursors[t-1]] = uint32(e)
-			cursors[t-1]++
-		}
-	}
+	res.PeelOrder, res.RoundStart = segmentOrder(res.RoundOf, res.Rounds)
 	s.finish(&res.Result)
 	return res, nil
 }
 
-// ErrDuplicateKeys is returned by PeelKeys, and so by the MPHF and
-// Bloomier builders, when the key set holds some key more than once.
-var ErrDuplicateKeys = errors.New("duplicate keys")
-
-// PeelKeys is one attempt of the hash-and-peel builders (internal/mphf,
-// internal/bloomier): on pool, key i becomes edge hash(keys[i]) of a
-// 3-partite hypergraph with parts of subSize vertices, which
-// ParallelOrderCtx peels to its 2-core. Equal keys hash to identical
-// edges, whose vertices keep degree ≥ 2, so every duplicated key
-// survives into the core under any seed: PeelKeys checks only a
-// non-empty core's keys and returns an error wrapping ErrDuplicateKeys
-// if two are equal. A non-empty core with a nil error means the keys
-// are distinct.
-func PeelKeys(ctx context.Context, keys []uint64, subSize int, hash func(x uint64) [3]uint32, pool *parallel.Pool) (*hypergraph.Hypergraph, *OrderedResult, error) {
-	edges := make([]uint32, len(keys)*3)
-	if err := pool.ForCtx(ctx, len(keys), 2048, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			vs := hash(keys[i])
-			copy(edges[i*3:], vs[:])
-		}
-	}); err != nil {
-		return nil, nil, err
-	}
-	g := hypergraph.FromEdgesWithPool(3*subSize, 3, edges, subSize, pool)
-	ord, err := ParallelOrderCtx(ctx, g, 2, Options{Pool: pool})
-	if err != nil || ord.Empty() {
-		return g, ord, err
-	}
-	left := make([]uint64, 0, ord.CoreEdges)
-	for e, alive := range ord.EdgeAlive {
-		if alive != 0 {
-			left = append(left, keys[e])
+// segmentOrder lists the edges with a nonzero segment tag, tags[e] in
+// 1..segments, segment-major, and returns the list with the end offset
+// of every segment (start[0] == 0). It is a counting sort over the tags:
+// start is the prefix sum of the per-segment histogram, and scattering
+// edges in ascending id order leaves every segment already sorted, so
+// the peels need no per-segment sort and no order shards in their round
+// loops.
+func segmentOrder(tags []int32, segments int) (order []uint32, start []int) {
+	start = make([]int, segments+1)
+	for _, t := range tags {
+		if t > 0 {
+			start[t]++
 		}
 	}
-	slices.Sort(left)
-	for i := 1; i < len(left); i++ {
-		if left[i] == left[i-1] {
-			return nil, nil, fmt.Errorf("%w: %#x appears more than once", ErrDuplicateKeys, left[i])
+	for t := 1; t <= segments; t++ {
+		start[t] += start[t-1]
+	}
+	cursors := append([]int(nil), start[:segments]...)
+	order = make([]uint32, start[segments])
+	for e, t := range tags {
+		if t > 0 {
+			order[cursors[t-1]] = uint32(e)
+			cursors[t-1]++
 		}
 	}
-	return g, ord, nil
+	return order, start
 }
 
 // claimMin lowers *addr to v if v is smaller, atomically — the
@@ -282,43 +249,44 @@ func claimMin(addr *uint32, v uint32) {
 }
 
 // ValidateEliminationOrder checks the contracts an OrderedResult must
-// satisfy for the reverse round-major assignment sweeps to be sound:
+// satisfy for the reverse segment-major assignment sweeps to be sound:
 //
-//   - structural consistency: RoundStart brackets PeelOrder, each
-//     segment is sorted by edge id, RoundOf matches the segment, every
-//     peeled edge's free vertex is one of its endpoints, and no vertex
-//     frees more than k-1 edges;
-//   - the elimination property: every non-free endpoint of a round-t
-//     edge that frees an edge at all frees it in a round strictly after
-//     t (so processing rounds in reverse, with any order inside a
-//     round, only reads finalized values).
+//   - structural consistency: RoundStart brackets PeelOrder into Rounds
+//     or Subrounds segments, each segment is sorted by edge id, RoundOf
+//     matches the segment, every peeled edge's free vertex is one of its
+//     endpoints, and no vertex frees more than k-1 edges;
+//   - the elimination property: every non-free endpoint of a segment-t
+//     edge that frees an edge at all frees it in a segment strictly
+//     after t (so processing segments in reverse, with any order inside
+//     a segment, only reads finalized values).
 //
 // The elimination property is a theorem for k = 2 and checked here by
 // construction for any input. Intended for tests and debugging; O(m·r).
 func ValidateEliminationOrder(g *hypergraph.Hypergraph, ord *OrderedResult, k int) error {
-	if len(ord.RoundStart) != ord.Rounds+1 || ord.RoundStart[0] != 0 ||
-		ord.RoundStart[ord.Rounds] != len(ord.PeelOrder) {
-		return fmt.Errorf("core: RoundStart %v inconsistent with %d rounds, %d peeled edges",
-			ord.RoundStart, ord.Rounds, len(ord.PeelOrder))
+	segs := ord.Segments()
+	if segs < 0 || (segs != ord.Rounds && segs != ord.Subrounds) || ord.RoundStart[0] != 0 ||
+		ord.RoundStart[segs] != len(ord.PeelOrder) {
+		return fmt.Errorf("core: RoundStart %v inconsistent with %d rounds, %d subrounds, %d peeled edges",
+			ord.RoundStart, ord.Rounds, ord.Subrounds, len(ord.PeelOrder))
 	}
 	if len(ord.PeelOrder)+ord.CoreEdges != g.M {
 		return fmt.Errorf("core: %d peeled + %d core edges != m=%d", len(ord.PeelOrder), ord.CoreEdges, g.M)
 	}
 	freed := make([]int32, g.N)      // edges freed per vertex
-	freedRound := make([]int32, g.N) // round in which the vertex freed (0: none)
+	freedRound := make([]int32, g.N) // segment in which the vertex freed (0: none)
 	seen := make([]bool, g.M)
-	for t := 1; t <= ord.Rounds; t++ {
+	for t := 1; t <= segs; t++ {
 		seg := ord.RoundSegment(t)
 		for i, e := range seg {
 			if i > 0 && seg[i-1] >= e {
-				return fmt.Errorf("core: round %d segment not sorted at %d", t, i)
+				return fmt.Errorf("core: segment %d not sorted at %d", t, i)
 			}
 			if seen[e] {
 				return fmt.Errorf("core: edge %d peeled twice", e)
 			}
 			seen[e] = true
 			if ord.RoundOf[e] != int32(t) {
-				return fmt.Errorf("core: edge %d in round %d segment but RoundOf=%d", e, t, ord.RoundOf[e])
+				return fmt.Errorf("core: edge %d in segment %d but RoundOf=%d", e, t, ord.RoundOf[e])
 			}
 			if ord.EdgeAlive[e] != 0 {
 				return fmt.Errorf("core: peeled edge %d still alive", e)
@@ -355,7 +323,7 @@ func ValidateEliminationOrder(g *hypergraph.Hypergraph, ord *OrderedResult, k in
 				continue
 			}
 			if freedRound[u] != 0 && freedRound[u] <= ord.RoundOf[e] {
-				return fmt.Errorf("core: edge %d (round %d) reads vertex %d finalized only in round %d",
+				return fmt.Errorf("core: edge %d (segment %d) reads vertex %d finalized only in segment %d",
 					e, ord.RoundOf[e], u, freedRound[u])
 			}
 		}

@@ -9,17 +9,17 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/hypergraph"
+	"repro/internal/layout"
 	"repro/internal/mphf"
 	"repro/internal/parallel"
 	"repro/internal/rng"
 )
 
 // BuildPathConfig parameterizes the build-path ablation surfaced by
-// cmd/ablations -build: on the MPHF-shaped instance (3-partite, density
-// 1/γ just below c*(2,3)) it times the two sources of an ordered peel —
-// the sequential queue peel vs the ordered round-synchronous peel
-// (core.ParallelOrder) at 1 worker and at the configured pool size —
-// and the end-to-end mphf build that consumes it.
+// cmd/ablations -build: on the MPHF key hypergraph (3-partite, density
+// 1/γ just below c*(2,3)) it times the sequential queue peel against
+// the builders' subround peel (core.PeelKeys) at 1 worker and at the
+// configured pool size, and the end-to-end mphf build that consumes it.
 type BuildPathConfig struct {
 	Ns      []int // key counts
 	Gamma   float64
@@ -42,15 +42,17 @@ func DefaultBuildPath() BuildPathConfig {
 // BuildPathRow is one key-count's timings.
 type BuildPathRow struct {
 	Keys     int
-	SeqPeel  time.Duration // core.Sequential on the key hypergraph
-	OrdPeel1 time.Duration // core.ParallelOrder, 1-worker pool
-	OrdPeelW time.Duration // core.ParallelOrder, W-worker pool
+	SeqPeel  time.Duration // core.Sequential on the prebuilt CSR index of the key hypergraph
+	KeyPeel1 time.Duration // core.PeelKeys (key hashing included), 1-worker pool
+	KeyPeelW time.Duration // core.PeelKeys (key hashing included), W-worker pool
 	BuildW   time.Duration // mphf.BuildCtx end-to-end, W workers
 }
 
-// RunBuildPath runs the sweep. The peels run on the identical graph
-// (the ordered peel is deterministic at every worker count), so the
-// rows isolate the peel-algorithm change from the graph.
+// RunBuildPath runs the sweep. Every peel runs on the same key
+// hypergraph (PeelKeys is deterministic at every worker count), so the
+// rows isolate the peel algorithm from the graph. The sequential peel
+// is handed the graph's CSR index, built outside the timing; PeelKeys
+// needs none but hashes the keys inside it.
 func RunBuildPath(cfg BuildPathConfig) []BuildPathRow {
 	if cfg.Reps <= 0 {
 		cfg.Reps = 3
@@ -75,21 +77,23 @@ func RunBuildPath(cfg BuildPathConfig) []BuildPathRow {
 	var rows []BuildPathRow
 	for _, m := range cfg.Ns {
 		subSize := int(cfg.Gamma*float64(m))/3 + 1
-		g := hypergraph.Partitioned(3*subSize, m, 3, rng.New(cfg.Seed))
 		keys := make([]uint64, m)
-		gen := rng.New(cfg.Seed + 1)
+		gen := rng.New(cfg.Seed)
 		for i := range keys {
 			keys[i] = gen.Uint64()
 		}
+		hseed := [layout.Arity]uint64{gen.Uint64(), gen.Uint64(), gen.Uint64()}
+		hash := func(x uint64) [layout.Arity]uint32 { return layout.VertexTriple(hseed, subSize, x) }
+		peel := func(pool *parallel.Pool) []uint32 {
+			edges, _, err := core.PeelKeys(context.Background(), keys, subSize, hash, pool)
+			return must(edges, err)
+		}
+		g := hypergraph.FromEdges(3*subSize, 3, peel(wPool), subSize)
 		rows = append(rows, BuildPathRow{
-			Keys:    m,
-			SeqPeel: best(func() { core.Sequential(g, 2) }),
-			OrdPeel1: best(func() {
-				core.ParallelOrder(g, 2, core.Options{Pool: onePool})
-			}),
-			OrdPeelW: best(func() {
-				core.ParallelOrder(g, 2, core.Options{Pool: wPool})
-			}),
+			Keys:     m,
+			SeqPeel:  best(func() { core.Sequential(g, 2) }),
+			KeyPeel1: best(func() { peel(onePool) }),
+			KeyPeelW: best(func() { peel(wPool) }),
 			BuildW: best(func() {
 				must(mphf.BuildCtx(context.Background(), keys, cfg.Gamma, cfg.Seed, 10, wPool))
 			}),
@@ -104,13 +108,13 @@ func RenderBuildPath(w io.Writer, workers int, rows []BuildPathRow) {
 		workers = parallel.Workers()
 	}
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(tw, "keys\tseq peel\tord peel(1w)\tord peel(%dw)\tbuild(%dw)\tpeel speedup\n", workers, workers)
+	fmt.Fprintf(tw, "keys\tseq peel\tkey peel(1w)\tkey peel(%dw)\tbuild(%dw)\tpeel speedup\n", workers, workers)
 	for _, r := range rows {
 		fmt.Fprintf(tw, "%d\t%v\t%v\t%v\t%v\t%.2fx\n",
 			r.Keys,
-			r.SeqPeel.Round(time.Microsecond), r.OrdPeel1.Round(time.Microsecond),
-			r.OrdPeelW.Round(time.Microsecond), r.BuildW.Round(time.Microsecond),
-			r.SeqPeel.Seconds()/r.OrdPeelW.Seconds())
+			r.SeqPeel.Round(time.Microsecond), r.KeyPeel1.Round(time.Microsecond),
+			r.KeyPeelW.Round(time.Microsecond), r.BuildW.Round(time.Microsecond),
+			r.SeqPeel.Seconds()/r.KeyPeelW.Seconds())
 	}
 	tw.Flush()
 }

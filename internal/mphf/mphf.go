@@ -63,11 +63,11 @@ var ErrDuplicateKeys = core.ErrDuplicateKeys
 // Build constructs an MPHF for the distinct keys using the given
 // vertex/key ratio gamma (use DefaultGamma) and an initial seed; it
 // retries with derived seeds up to maxTries times (10 is plenty).
-// The whole build path — hashing, index build, the ordered parallel
-// peel, and the round-parallel g-value assignment — runs on the
-// process-wide default pool; use BuildCtx to pin it to an explicit one.
-// The resulting function is identical either way and at every pool
-// size (the ordered peel is bit-stable across worker counts).
+// The whole build path — hashing, the subround peel, and the
+// segment-parallel g-value assignment — runs on the process-wide
+// default pool; use BuildCtx to pin it to an explicit one. The
+// resulting function is identical either way and at every pool size
+// (the peel is bit-stable across worker counts).
 //
 //peelvet:deterministic
 func Build(keys []uint64, gamma float64, seed uint64, maxTries int) (*MPHF, error) {
@@ -75,22 +75,22 @@ func Build(keys []uint64, gamma float64, seed uint64, maxTries int) (*MPHF, erro
 }
 
 // BuildCtx is Build with every construction phase — per-key edge
-// hashing on each retry attempt, the CSR incidence build, the peel, and
-// the g-value assignment — run on an explicit worker pool. The peel is
-// the ordered round-synchronous process (core.ParallelOrder), whose
-// round-major order and minimum-endpoint orientation are bit-stable, so
-// the resulting function is identical at every pool size; the
-// assignment processes the peel rounds in reverse with full parallelism
-// inside each round (sound for k = 2: within a round every peeled edge
-// has a distinct free vertex and non-free endpoints finalize strictly
-// later). All per-build state is owned by the call, so many builds may
-// run concurrently on one shared pool.
+// hashing on each retry attempt, the peel, and the g-value assignment —
+// run on an explicit worker pool. The peel is core.PeelKeys, an
+// Appendix B subround peel of the 3-partite key hypergraph in which
+// every edge has a unique releaser (its endpoint in the subround's
+// part), so its subround-major order and orientation, and the resulting
+// function, are identical at every pool size. The assignment processes
+// the subrounds in reverse with full parallelism inside each one (every
+// peeled edge of a subround has a distinct free vertex, and its other
+// endpoints finalize strictly later). All per-build state is owned by
+// the call, so many builds may run concurrently on one shared pool.
 //
-// Cancellation is cooperative, checked at every round barrier of every
-// attempt's peel and assignment sweep (and at the phase barriers
-// between hashing, CSR build, peel, and assignment) — a canceled build
-// stops within one round of extra work, not one phase. On cancellation
-// it returns (nil, ctx.Err()).
+// Cancellation is cooperative, checked at every subround barrier of
+// every attempt's peel and assignment sweep (and at the phase barriers
+// between hashing, peel set-up, peel, and assignment) — a canceled
+// build stops within one subround of extra work, not one phase. On
+// cancellation it returns (nil, ctx.Err()).
 //
 //peelvet:deterministic
 func BuildCtx(ctx context.Context, keys []uint64, gamma float64, seed uint64, maxTries int, pool *parallel.Pool) (*MPHF, error) {
@@ -147,10 +147,10 @@ func attemptSeeds(seed uint64, try int) (attemptSeed uint64, hseed [arity]uint64
 // 2-core, writes the g values, used bitmap, and rank directory into a
 // freshly allocated flat image and seals it; a non-empty 2-core returns
 // (nil, survivors, nil) for the retry loop. ctx is checked at every
-// round barrier.
+// subround barrier.
 func buildAttempt(ctx context.Context, keys []uint64, attemptSeed uint64, hseed [arity]uint64, m, subSize int, pool *parallel.Pool) (*layout.Image, int, error) {
 	hash := func(x uint64) [arity]uint32 { return layout.VertexTriple(hseed, subSize, x) }
-	g, ord, err := core.PeelKeys(ctx, keys, subSize, hash, pool)
+	edges, ord, err := core.PeelKeys(ctx, keys, subSize, hash, pool)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -162,23 +162,24 @@ func buildAttempt(ctx context.Context, keys []uint64, attemptSeed uint64, hseed 
 	// there is no separate in-memory representation to convert from.
 	im := layout.NewMPHF(attemptSeed, hseed, m, subSize)
 
-	// Reverse round-major order: when edge e (freed by vertex v at
+	// Reverse subround-major order: when edge e (freed by vertex v at
 	// position p) is processed, the other two endpoints' g values are
-	// final — within a round every peeled edge has a distinct free
-	// vertex and non-free endpoints free edges only in strictly later
-	// rounds (k = 2; see core.OrderedResult) — so the edges of one round
-	// are assigned concurrently: g[v] = (p − g[u1] − g[u2]) mod 3 makes
-	// the lookup rule (g[v0]+g[v1]+g[v2]) mod 3 == p hold. The used
-	// bitmap is the only shared word array, updated with an atomic OR.
-	// Unassigned vertices keep 0.
+	// final — within a subround every peeled edge has a distinct free
+	// vertex, and non-free endpoints lie in other parts and free edges
+	// only in strictly later subrounds (see core.OrderedResult) — so the
+	// edges of one subround are assigned concurrently:
+	// g[v] = (p − g[u1] − g[u2]) mod 3 makes the lookup rule
+	// (g[v0]+g[v1]+g[v2]) mod 3 == p hold. The used bitmap is the only
+	// shared word array, updated with an atomic OR. Unassigned vertices
+	// keep 0.
 	gv, used := im.G, im.Used
-	for t := ord.Rounds; t >= 1; t-- {
+	for t := ord.Segments(); t >= 1; t-- {
 		seg := ord.RoundSegment(t)
 		if err := pool.ForCtx(ctx, len(seg), 1024, func(_, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				e := int(seg[i])
 				free := ord.FreeVertex[e]
-				vs := g.EdgeVertices(e)
+				vs := edges[3*e : 3*e+3]
 				sum := 0
 				p := -1
 				for pos, u := range vs {

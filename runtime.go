@@ -588,11 +588,12 @@ func (rt *Runtime) Peel(ctx context.Context, g *Hypergraph, k int, opts PeelOpti
 }
 
 // PeelOrdered runs the ordered round-synchronous peeling process on the
-// shared pool: the same rounds and k-core as Peel, plus the round-major
-// peel order and the minimum-endpoint edge orientation the data-
-// structure constructions consume. The result is bit-identical at every
-// worker count (see core.OrderedResult). Cancellation is checked at
-// every round barrier.
+// shared pool: the same rounds and k-core as Peel, plus a round-major
+// peel order and a minimum-endpoint edge orientation, for any
+// hypergraph. The result is bit-identical at every worker count (see
+// core.OrderedResult). The MPHF and static-map builders do not use it:
+// their graphs are 3-partite and peel in subrounds (core.PeelKeys).
+// Cancellation is checked at every round barrier.
 func (rt *Runtime) PeelOrdered(ctx context.Context, g *Hypergraph, k int, opts PeelOptions) (*OrderedPeelResult, error) {
 	var res *OrderedPeelResult
 	err := rt.runJob(ctx, func(ctx context.Context, pool *parallel.Pool) error {
@@ -644,12 +645,12 @@ func (rt *Runtime) Decode(ctx context.Context, t *IBLT) (*IBLTParallelResult, er
 
 // BuildMPHF builds a minimal perfect hash function over distinct keys
 // (γ = 1.23, up to 10 seed attempts) with every phase on the shared
-// pool: hashing, index build, the ordered parallel peel, and the
-// round-parallel g-value assignment. The resulting function is
-// identical at every Runtime size (the ordered peel is bit-stable
-// across worker counts). Cancellation is checked at every round barrier
-// of every attempt, so a canceled build aborts within one peel round of
-// extra work — not one phase.
+// pool: hashing, the subround key peel, and the subround-parallel
+// g-value assignment. The resulting function is identical at every
+// Runtime size (the key peel is bit-stable across worker counts).
+// Cancellation is checked at every subround barrier of every attempt,
+// so a canceled build aborts within one peel subround of extra work —
+// not one phase.
 //
 // Under a Policy with BuildRetries > 0, a build whose whole seed ladder
 // fails (ErrMPHFBuildFailed) is retried with a jittered escalated seed;
@@ -668,12 +669,12 @@ func (rt *Runtime) BuildMPHF(ctx context.Context, keys []uint64, seed uint64) (*
 }
 
 // BuildStaticMap builds an immutable key → value map (Bloomier filter)
-// with every phase — hashing, index build, the ordered parallel peel,
-// and round-parallel back-substitution — on the shared pool. The
-// resulting map is byte-identical at every Runtime size (the ordered
-// peel is bit-stable across worker counts), so a map built here seals
-// the same flat image an offline builder box would produce.
-// Cancellation is checked at every round barrier of every attempt.
+// with every phase — hashing, the subround key peel, and
+// subround-parallel back-substitution — on the shared pool. The
+// resulting map is byte-identical at every Runtime size (the key peel
+// is bit-stable across worker counts), so a map built here seals the
+// same flat image an offline builder box would produce. Cancellation
+// is checked at every subround barrier of every attempt.
 //
 // Build retries under a Policy behave exactly as in BuildMPHF.
 func (rt *Runtime) BuildStaticMap(ctx context.Context, keys, values []uint64, seed uint64) (*StaticMap, error) {

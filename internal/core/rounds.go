@@ -198,10 +198,8 @@ func (k *Kernel) take(j int) []uint32 {
 }
 
 // unlist clears the pending marks of taken candidates, so peeling can
-// enlist them again. It runs before the subround's first removal, so a
-// removal that touches a candidate still ahead in this subround lists
-// it for a later one too: a read that raced the removal gets another
-// look.
+// enlist them again. It runs before the subround's first removal, so
+// every item a removal touches is listed for a later subround.
 func (k *Kernel) unlist(items []uint32) {
 	if k.pending == nil {
 		return

@@ -5,16 +5,16 @@ import (
 	"sync/atomic"
 
 	"repro/internal/hypergraph"
-	"repro/internal/parallel"
 )
 
 // Subtables runs the Appendix B peeling variant on a partitioned
 // hypergraph: each round consists of r subrounds, and subround j removes,
 // in parallel, every subtable-j vertex whose degree is < k. Because each
 // edge touches subtable j in exactly one vertex, no two threads in a
-// subround can try to peel the same edge via the same subtable — the
-// property the paper's GPU IBLT implementation relies on to avoid
-// deleting an item twice.
+// subround can try to peel the same edge — the property the paper's GPU
+// IBLT implementation relies on to avoid deleting an item twice, and the
+// reason this peel, like the IBLT and erasure decoders and PeelKeys,
+// needs no edge claims.
 //
 // The returned Result counts productive subrounds (Result.Subrounds,
 // Table 5's "Subrounds" column) and full rounds (Result.Rounds), and
@@ -43,30 +43,33 @@ func SubtablesCtx(ctx context.Context, g *hypergraph.Hypergraph, k int, opts Opt
 	}
 	s := newCoreState(g, k)
 	pool := kern.Pool()
-	eclaim := parallel.NewBitset(g.M)
 	peeled := pool.NewCounter()
 
 	// Subround j runs on subtable j's candidates with the select fused
-	// into the peel: every edge meets subtable j in exactly one vertex, so
-	// peeling a subtable-j vertex changes no other subtable-j degree and
-	// the peel set is the snapshot a separate select pass would take.
-	// Freed vertices are enlisted into their own subtable's next
-	// subround; cross-subtable ones can be peeled later this round, which
-	// is why subrounds make faster progress than rounds.
+	// into the peel. Every edge meets subtable j in exactly one vertex,
+	// its unique releaser in this subround: peeling a subtable-j vertex
+	// writes no other subtable-j degree, so the peel set is the snapshot
+	// a separate select pass would take, and an edge's dead mark is
+	// touched in subround j by that endpoint alone. Only the degree
+	// decrements in other subtables are atomic. Freed vertices are
+	// enlisted into their own subtable's next subround; cross-subtable
+	// ones can be peeled later this round, which is why subrounds make
+	// faster progress than rounds.
 	err = kern.RunCtx(ctx, nil, func(cands []uint32) int {
 		peeled.Reset()
 		pool.For(len(cands), grain, func(w, lo, hi int) {
 			n := 0
 			for _, v := range cands[lo:hi] {
-				if s.vdead[v] != 0 || atomic.LoadInt32(&s.deg[v]) >= s.k {
+				if s.vdead[v] != 0 || s.deg[v] >= s.k {
 					continue
 				}
 				s.vdead[v] = 1
 				n++
 				for _, e := range g.VertexEdges(int(v)) {
-					if !eclaim.AtomicSet(int(e)) {
+					if s.edead[e] != 0 {
 						continue
 					}
+					s.edead[e] = 1
 					for _, u := range g.EdgeVertices(int(e)) {
 						if u != v && atomic.AddInt32(&s.deg[u], -1) < s.k {
 							kern.Enlist(w, u)
@@ -81,7 +84,6 @@ func SubtablesCtx(ctx context.Context, g *hypergraph.Hypergraph, k int, opts Opt
 	if err != nil {
 		return nil, err
 	}
-	syncEdgeClaims(s.edead, eclaim, pool)
 	return s.finish(&Result{
 		Rounds:          kern.Rounds,
 		Subrounds:       kern.Subrounds,

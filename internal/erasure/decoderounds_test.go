@@ -174,6 +174,47 @@ func TestDecodeRoundsCancels(t *testing.T) {
 	}
 }
 
+// TestDecodeBarriersMatchAcrossPools checks that recovery is
+// deterministic: below and above the threshold, DecodeCtx crosses the
+// same number of barriers at every pool size, because every subround's
+// recovered set is fixed at its barrier.
+func TestDecodeBarriersMatchAcrossPools(t *testing.T) {
+	const cells = 3000
+	code := NewCode(cells, 3, 19)
+	gen := rng.New(8)
+	data := make([]uint64, 9000)
+	for i := range data {
+		data[i] = gen.Uint64()
+	}
+	checks := code.Encode(data)
+	for _, frac := range []float64{0.3, 0.6, 0.78, 0.95} {
+		lost := rng.New(uint64(100 * frac)).Perm(len(data))[:int(frac*cells)]
+		want := int64(-1)
+		for _, workers := range poolSizes {
+			got := append([]uint64(nil), data...)
+			present := make([]bool, len(data))
+			for i := range present {
+				present[i] = true
+			}
+			for _, i := range lost {
+				got[i], present[i] = 0, false
+			}
+			pool := parallel.NewPool(workers)
+			ctx := &barrierCtx{cancelAfter: 1 << 30}
+			err := code.DecodeCtx(ctx, got, present, checks, pool)
+			pool.Close()
+			if err != nil && !errors.Is(err, ErrDecodeFailed) {
+				t.Fatalf("loss %v W=%d: %v", frac, workers, err)
+			}
+			if want < 0 {
+				want = ctx.calls.Load()
+			} else if n := ctx.calls.Load(); n != want {
+				t.Errorf("loss %v: W=%d crossed %d barriers, W=%d crossed %d", frac, workers, n, poolSizes[0], want)
+			}
+		}
+	}
+}
+
 // TestConcurrentDecodeRounds runs several parallel decodes of one code
 // on a shared pool — the per-job state contract, meaningful under -race.
 func TestConcurrentDecodeRounds(t *testing.T) {

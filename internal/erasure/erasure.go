@@ -12,6 +12,12 @@
 // e.g. r = 3 tolerates losses up to ~0.818 × cells — the paper's
 // below-threshold regime, where the parallel decoder also finishes in
 // O(log log n) rounds.
+//
+// The check cells use the paper's Appendix B layout: r subtables of
+// ⌊cells/r⌋ cells, and a symbol's j-th cell lies in subtable j. The
+// hypergraph is therefore r-partite, and parallel recovery runs in
+// subrounds, one per subtable, like the IBLT decoder. The cells mod r
+// tail cells past the last subtable are never written.
 package erasure
 
 import (
@@ -43,29 +49,31 @@ type Cell struct {
 // Code is a (cells, r, seed) configuration. Encoding and decoding must
 // use identical configurations.
 type Code struct {
-	cells int
-	r     int
-	hseed []uint64
-	cseed uint64
+	cells   int
+	r       int
+	subSize int // cells per subtable, ⌊cells/r⌋
+	hseed   []uint64
+	cseed   uint64
 }
 
 // NewCode returns a code with the given number of check cells and r hash
 // positions per data symbol (r in [3, 8]; r = 2's threshold c*(2,2) is
 // degenerate and excluded, as in the paper). Panics if r is outside
-// [3, 8] or cells is non-positive — both are static configuration bugs,
-// not runtime conditions.
+// [3, 8] or cells < r, which would leave a subtable empty — both are
+// static configuration bugs, not runtime conditions.
 func NewCode(cells, r int, seed uint64) *Code {
 	if r < 3 || r > 8 {
 		panic(fmt.Sprintf("erasure: r = %d outside [3, 8]", r))
 	}
-	if cells <= 0 {
-		panic("erasure: non-positive cell count")
+	if cells < r {
+		panic(fmt.Sprintf("erasure: %d cells cannot hold %d subtables", cells, r))
 	}
 	c := &Code{
-		cells: cells,
-		r:     r,
-		hseed: make([]uint64, r),
-		cseed: rng.Mix64(seed ^ 0x5851f42d4c957f2d),
+		cells:   cells,
+		r:       r,
+		subSize: cells / r,
+		hseed:   make([]uint64, r),
+		cseed:   rng.Mix64(seed ^ 0x5851f42d4c957f2d),
 	}
 	for j := 0; j < r; j++ {
 		c.hseed[j] = rng.Mix64(seed + uint64(j)*0xbf58476d1ce4e5b9)
@@ -76,21 +84,12 @@ func NewCode(cells, r int, seed uint64) *Code {
 // Cells returns the number of check cells.
 func (c *Code) Cells() int { return c.cells }
 
-// positions fills pos with the r distinct cells of symbol index i,
-// resolving hash collisions by linear re-hashing (so the hypergraph is
-// r-uniform with distinct vertices, matching the analysis).
+// positions fills pos with the cells of symbol index i, pos[j] in
+// subtable j, so the r cells are distinct.
 func (c *Code) positions(i int, pos []int) {
-	for j := 0; j < c.r; j++ {
+	for j := range pos {
 		h := rng.Mix64(uint64(i+1) ^ c.hseed[j])
-	retry:
-		p := int((h >> 32) * uint64(c.cells) >> 32)
-		for jj := 0; jj < j; jj++ {
-			if pos[jj] == p {
-				h = rng.Mix64(h)
-				goto retry
-			}
-		}
-		pos[j] = p
+		pos[j] = j*c.subSize + int((h>>32)*uint64(c.subSize)>>32)
 	}
 }
 
@@ -229,11 +228,12 @@ func (c *Code) Decode(data []uint64, present []bool, checks []Cell) error {
 // DecodeCtx is Decode with both phases on an explicit worker pool: the
 // received-symbol subtraction pass (the O(data) part that dominates when
 // few symbols are missing) fans out through applyAllCtx, and recovery
-// runs the round-synchronous parallel peel decodeRounds — the erasure
-// analog of the IBLT's subround decoder — instead of the serial queue
-// peel. Results are identical to Decode (peeling is confluent; the
-// recovered set and values do not depend on scheduling). All per-call
-// state is owned by the call, so concurrent decodes may share one pool.
+// runs the subround peel decodeRounds — the IBLT's subround decoder on
+// the erasure cells — instead of the serial queue peel. Results are
+// identical to Decode (peeling is confluent), and every subround's
+// recovered set, hence the barrier count, is the same at every pool
+// size. All per-call state is owned by the call, so concurrent decodes
+// may share one pool.
 //
 // Cancellation is cooperative, checked inside the subtraction pass and
 // at every peeling round barrier. On cancellation it returns ctx.Err();
@@ -256,34 +256,25 @@ func (c *Code) DecodeCtx(ctx context.Context, data []uint64, present []bool, che
 	return c.decodeRounds(ctx, work, data, present, missing, pool)
 }
 
-// decodeRounds recovers the missing symbols with the round-synchronous
-// parallel peel on the pool: the core round kernel with the cells as
-// its one part, under the Frontier policy. Every cell is a candidate
-// once; each round examines its candidate cells in parallel, recovers the
-// pure cells' symbols, subtracts them atomically, and enlists the
-// touched cells for the next round. Work is proportional to cells +
-// peeling work, like the serial peel, and the round structure matches
-// the paper's analysis (O(log log n) rounds below threshold).
-//
-// Two disciplines make the concurrency safe:
-//
-//   - An atomic claim bitset over symbol indices guarantees each symbol
-//     is recovered and subtracted exactly once, even when several of its
-//     cells are pure in the same round (the erasure hypergraph has no
-//     subtable structure, so — unlike the IBLT decoder — two workers can
-//     see the same symbol pure simultaneously).
-//   - pureAtomic reads the checksum before the value while the
-//     subtractions below write the checksum last, so a checksum match
-//     proves the value read includes every concurrent subtraction that
-//     could have produced the matching idx/checksum pair; torn reads fail
-//     the checksum and the touched cell is simply re-examined next round
-//     (the toucher enlisted it).
+// decodeRounds recovers the missing symbols with the Appendix B
+// subround peel on the pool: the core round kernel with the r
+// subtables as its parts, under the Frontier policy. Subround j
+// examines subtable j's candidate cells in parallel, recovers every
+// pure cell's symbol, subtracts it from its r cells, and enlists the
+// other r−1 for their subtables' subrounds. A symbol has exactly one
+// cell in subtable j, so it is recovered at most once per subround, and
+// its subtraction writes no other subtable-j cell: subround j's reads
+// see only earlier subrounds' writes, and each symbol's data and
+// present slots have one writer. Only the writes into other subtables,
+// which several recoveries may share, are atomic. Work is proportional
+// to cells + peeling work, like the serial peel, and the round
+// structure matches the paper's analysis (O(log log n) rounds below
+// threshold).
 func (c *Code) decodeRounds(ctx context.Context, work []Cell, data []uint64, present []bool, missing int, pool *parallel.Pool) error {
-	kern, err := core.NewKernel(ctx, core.Options{Scan: core.Frontier, Pool: pool}, 1, c.cells)
+	kern, err := core.NewKernel(ctx, core.Options{Scan: core.Frontier, Pool: pool}, c.r, c.subSize)
 	if err != nil {
 		return err
 	}
-	claimed := parallel.NewBitset(len(data))
 	recovered := pool.NewCounter()
 	posBufs := make([][]int, pool.Workers())
 	for w := range posBufs {
@@ -294,17 +285,10 @@ func (c *Code) decodeRounds(ctx context.Context, work []Cell, data []uint64, pre
 		pool.For(len(cells), 512, func(w, lo, hi int) {
 			pos := posBufs[w]
 			for _, p := range cells[lo:hi] {
-				i, v, ok := c.pureAtomic(&work[p])
-				if !ok {
+				if !c.pure(&work[p]) {
 					continue
 				}
-				// Claim symbol i: exactly one worker subtracts it even if
-				// several of its cells are pure this round.
-				if !claimed.AtomicSet(i) {
-					continue
-				}
-				// Distinct claimed indices → distinct data/present slots;
-				// no two workers write the same element.
+				i, v := int(work[p].IdxSum-1), work[p].ValueSum
 				data[i] = v
 				present[i] = true
 				recovered.Add(w, 1)
@@ -315,7 +299,9 @@ func (c *Code) decodeRounds(ctx context.Context, work []Cell, data []uint64, pre
 					parallel.XorUint64(&work[q].IdxSum, uint64(i+1))
 					parallel.XorUint64(&work[q].ValueSum, v)
 					parallel.XorUint64(&work[q].CheckSum, cs)
-					kern.Enlist(w, uint32(q))
+					if q != int(p) {
+						kern.Enlist(w, uint32(q))
+					}
 				}
 			}
 		})
@@ -328,29 +314,6 @@ func (c *Code) decodeRounds(ctx context.Context, work []Cell, data []uint64, pre
 		return fmt.Errorf("%w (recovered %d of %d)", ErrDecodeFailed, got, missing)
 	}
 	return nil
-}
-
-// pureAtomic is the atomic-read variant of pure used by decodeRounds: it
-// reports whether the cell holds exactly one missing symbol, returning
-// its index and value. Reads are ordered Count, IdxSum, CheckSum, then
-// ValueSum; decodeRounds' atomic subtractions write CheckSum last,
-// so a checksum that validates IdxSum proves the concurrent subtraction
-// (if any) had already finished updating ValueSum when we read it. Any
-// other torn combination fails the 64-bit checksum w.h.p. and the cell
-// is retried on its next enlistment.
-func (c *Code) pureAtomic(cell *Cell) (idx int, val uint64, ok bool) {
-	if atomic.LoadInt32(&cell.Count) != 1 {
-		return 0, 0, false
-	}
-	is := atomic.LoadUint64(&cell.IdxSum)
-	if is == 0 {
-		return 0, 0, false
-	}
-	idx = int(is - 1)
-	if c.checksum(idx) != atomic.LoadUint64(&cell.CheckSum) {
-		return 0, 0, false
-	}
-	return idx, atomic.LoadUint64(&cell.ValueSum), true
 }
 
 // peel runs Decode's queue-driven serial peel of pure cells, filling

@@ -136,19 +136,25 @@ func TestR4Code(t *testing.T) {
 	}
 }
 
+// TestPositionsDistinct checks that a symbol's j-th cell lies in
+// subtable j, and that the cells mod r tail cells stay zero.
 func TestPositionsDistinct(t *testing.T) {
-	code := NewCode(64, 4, 3)
-	pos := make([]int, 4)
-	for i := 0; i < 5000; i++ {
-		code.positions(i, pos)
-		for a := 0; a < 4; a++ {
-			if pos[a] < 0 || pos[a] >= 64 {
-				t.Fatalf("index %d position out of range: %d", i, pos[a])
-			}
-			for b := a + 1; b < 4; b++ {
-				if pos[a] == pos[b] {
-					t.Fatalf("index %d has duplicate positions", i)
+	for _, tc := range []struct{ cells, r int }{{64, 4}, {2000, 3}} {
+		code := NewCode(tc.cells, tc.r, 3)
+		sub := tc.cells / tc.r
+		pos := make([]int, tc.r)
+		for i := 0; i < 5000; i++ {
+			code.positions(i, pos)
+			for j, p := range pos {
+				if p < j*sub || p >= (j+1)*sub {
+					t.Fatalf("cells=%d: index %d position %d = %d outside subtable [%d, %d)", tc.cells, i, j, p, j*sub, (j+1)*sub)
 				}
+			}
+		}
+		checks := code.Encode(randomData(5000, 3))
+		for p := tc.r * sub; p < tc.cells; p++ {
+			if checks[p] != (Cell{}) {
+				t.Errorf("cells=%d: tail cell %d = %+v, want zero", tc.cells, p, checks[p])
 			}
 		}
 	}
@@ -159,6 +165,7 @@ func TestValidation(t *testing.T) {
 		"r too small": func() { NewCode(100, 2, 0) },
 		"r too big":   func() { NewCode(100, 9, 0) },
 		"no cells":    func() { NewCode(0, 3, 0) },
+		"cells < r":   func() { NewCode(3, 4, 0) },
 	} {
 		func() {
 			defer func() {

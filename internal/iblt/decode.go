@@ -83,21 +83,19 @@ func (s *recoveryShards) drainInto(res *ParallelResult) int {
 // decodeCtx is the parallel decoder: the subround peel of Appendix B on
 // the core round kernel, with the table's cells as items and its r
 // subtables as parts. Subround j examines subtable j's candidate cells
-// in parallel and deletes each pure cell's key from all r subtables with
-// atomic updates. A key occupies exactly one cell of subtable j, so it
-// is recovered at most once per subround — the paper's reason for the
-// subtable layout — and deleting it changes no other subtable-j cell, so
-// no select pass is needed. Concurrent deletions into one cell are
-// serialized by the atomics; a cell read while a deletion races it fails
-// its checksum and is examined again in a later subround, which the
-// deleter's enlisting (Frontier) or the next full scan (FullScan)
-// guarantees, since a raced deletion means the round recovered a key.
+// in parallel and deletes each pure cell's key from all r subtables. A
+// key occupies exactly one cell of subtable j, so it is recovered at
+// most once per subround — the paper's reason for the subtable layout —
+// and deleting it writes no other subtable-j cell: subround j's reads
+// see only earlier subrounds' writes, so no select pass is needed and
+// every subround's recovered set is fixed at its barrier. Only the
+// writes into other subtables, which several deletions may share, are
+// atomic.
 //
-// scan only changes the work profile: the recovered sets and
-// completeness are identical, and so are the counts in the common case.
-// Under Frontier a candidate examined mid-round reflects deletions from
-// the current round, which can shift the subround counts; peeling
-// confluence makes that harmless.
+// scan only changes the work profile: Frontier enlists every cell a
+// deletion can make pure, so the recovered sets, completeness and round
+// and subround counts are identical under both policies and at every
+// pool size.
 //
 // All working state is owned by the call, so many decodes may run
 // concurrently on one shared pool (e.g. as parallel.Group jobs). On
@@ -115,7 +113,7 @@ func (t *Table) decodeCtx(ctx context.Context, scan core.ScanPolicy, pool *paral
 			added, removed := shards.added[w], shards.removed[w]
 			for _, cell := range cells[lo:hi] {
 				i := int(cell)
-				x, sign, isPure := t.pureAtomic(i)
+				x, sign, isPure := t.pure(i)
 				if !isPure {
 					continue
 				}
@@ -145,20 +143,4 @@ func (t *Table) decodeCtx(ctx context.Context, scan core.ScanPolicy, pool *paral
 	res.Rounds, res.Subrounds = kern.Rounds, kern.Subrounds
 	res.Complete = t.empty()
 	return res, nil
-}
-
-// pureAtomic is the atomic-read variant of pure used by the parallel
-// decoder. A torn read across the three fields can only produce a
-// checksum mismatch (the checksum is an independent 64-bit hash), never
-// a bogus recovery.
-func (t *Table) pureAtomic(i int) (x uint64, sign int64, ok bool) {
-	c := atomic.LoadInt64(&t.count[i])
-	if c != 1 && c != -1 {
-		return 0, 0, false
-	}
-	x = atomic.LoadUint64(&t.keySum[i])
-	if x == 0 || t.checksum(x) != atomic.LoadUint64(&t.checkSum[i]) {
-		return 0, 0, false
-	}
-	return x, c, true
 }

@@ -26,9 +26,11 @@ func TestDecodeParallelFrontierRoundTrip(t *testing.T) {
 
 // TestFrontierMatchesFullScanDecode checks the parallel decoder's two
 // scan policies against each other and against the serial decoder, at
-// several pool sizes: same recovered sets, same completeness.
+// several pool sizes: same recovered sets, same completeness, and the
+// same round and subround counts everywhere.
 func TestFrontierMatchesFullScanDecode(t *testing.T) {
 	ctx := context.Background()
+	rounds := map[float64][2]int{}
 	for _, workers := range []int{1, 2, 3, 8} {
 		pool := parallel.NewPool(workers)
 		for _, load := range []float64{0.4, 0.75, 0.83, 0.9} {
@@ -56,6 +58,16 @@ func TestFrontierMatchesFullScanDecode(t *testing.T) {
 			if frontier.Complete != ok || !equalSets(frontier.Added, added) {
 				t.Errorf("W=%d load %v: parallel recovered %d keys (complete %v), serial %d (complete %v)",
 					workers, load, len(frontier.Added), frontier.Complete, len(added), ok)
+			}
+			want, seen := rounds[load]
+			if !seen {
+				want = [2]int{fullScan.Rounds, fullScan.Subrounds}
+				rounds[load] = want
+			}
+			for _, res := range []*ParallelResult{fullScan, frontier} {
+				if got := [2]int{res.Rounds, res.Subrounds}; got != want {
+					t.Errorf("W=%d load %v: rounds/subrounds %v, want %v", workers, load, got, want)
+				}
 			}
 		}
 		pool.Close()

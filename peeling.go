@@ -115,7 +115,8 @@ func PredictRounds(p RecurrenceParams, n float64, maxRounds int) (rounds int, ok
 func NewIBLT(cells, r int, seed uint64) *IBLT { return iblt.New(cells, r, seed) }
 
 // NewErasureCode returns a Biff-style erasure code with the given number
-// of check cells and r hash positions per symbol (r in [3, 8]).
+// of check cells and r hash positions per symbol (r in [3, 8]). It
+// panics if r is out of range or checkCells < r.
 func NewErasureCode(checkCells, r int, seed uint64) *ErasureCode {
 	return erasure.NewCode(checkCells, r, seed)
 }

@@ -59,12 +59,15 @@
 // accounting; each peel supplies only its peel action. The subround
 // peels (subtable, key, IBLT decode, and erasure recovery) share one
 // argument: every edge meets subtable j in exactly one item, its unique
-// releaser, so subround j writes no subtable-j state, needs no claims
-// or atomic reads, and peels the same set at every worker count. An
-// erasure code's check cells therefore form r subtables of ⌊cells/r⌋
-// cells; the cells mod r tail cells are never written, and
-// NewErasureCode panics when cells < r. The kernel runs on the
-// Runtime's pool (internal/parallel.Pool): workers stay alive
+// releaser, so subround j writes no subtable-j state but its
+// releasers' own, needs no claims or atomic reads, and peels the same
+// set at every worker count. The key peel, IBLT decode and erasure
+// recovery need no atomic writes either: each subround's scan logs its
+// releases, and then one owner per other subtable applies them with
+// plain writes. An erasure code's check cells therefore form r
+// subtables of ⌊cells/r⌋ cells; the cells mod r tail cells are never
+// written, and NewErasureCode panics when cells < r. The kernel runs on
+// the Runtime's pool (internal/parallel.Pool): workers stay alive
 // across rounds, each round's phases are dispatched as chunked
 // parallel-for batches, and per-worker frontier shards — indexed by the
 // pool's worker IDs — replace locked appends, so the small-frontier tail

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync/atomic"
 
 	"repro/internal/parallel"
 )
@@ -37,7 +36,11 @@ var ErrDuplicateKeys = errors.New("duplicate keys")
 // other parts, so part-j state is written only in other parts'
 // subrounds: subround j's peel set is fixed at its barrier, and every
 // edge has a unique releaser, its part-j endpoint. The result is
-// therefore identical at every worker count with no claim pass.
+// therefore identical at every worker count with no claim pass. Nor does
+// it need atomics: the scan zeroes each releasing vertex's degree and
+// logs the freed edge in its worker's log, and then one owner per other
+// part subtracts every logged edge from its endpoint there (the
+// kernel's owner pass), with plain writes.
 //
 // Equal keys hash to identical edges, whose vertices keep degree ≥ 2, so
 // every duplicated key survives into the core under any seed: PeelKeys
@@ -77,6 +80,7 @@ func PeelKeys(ctx context.Context, keys []uint64, subSize int, hash func(x uint6
 		RoundOf:    make([]int32, m),
 	}
 	peeled := pool.NewCounter()
+	freed := make([][]uint32, pool.Workers())
 	err = kern.RunCtx(ctx, nil, func(cands []uint32) int {
 		j := int(cands[0]) / subSize
 		sub := int32(3*(kern.Round()-1) + j + 1)
@@ -98,18 +102,24 @@ func PeelKeys(ctx context.Context, keys []uint64, subSize int, hash func(x uint6
 				vs[v].cnt = 0
 				ord.FreeVertex[e] = v
 				ord.RoundOf[e] = sub
-				for i, u := range edges[3*e : 3*e+3] {
-					if i == j {
-						continue
-					}
-					atomic.AddUint32(&vs[u].sum, -e)
-					if atomic.AddInt32(&vs[u].cnt, -1) == 1 {
+				freed[w] = append(freed[w], e)
+			}
+			peeled.Add(w, int64(p))
+		})
+		kern.ForOtherParts(j, func(w, p int) {
+			for _, log := range freed {
+				for _, e := range log {
+					u := edges[3*int(e)+p]
+					vs[u].sum -= e
+					if vs[u].cnt--; vs[u].cnt == 1 {
 						kern.Enlist(w, u)
 					}
 				}
 			}
-			peeled.Add(w, int64(p))
 		})
+		for w := range freed {
+			freed[w] = freed[w][:0]
+		}
 		return int(peeled.Sum())
 	})
 	if err != nil {

@@ -38,6 +38,16 @@ const grain = 2048
 // peelable. A consumer may skip the select pass when peeling a part-j
 // item never changes whether another part-j item is peelable — true in
 // subround j whenever every edge meets part j exactly once.
+//
+// Such a subround peel needs no atomic read-modify-write on its peel
+// state either (Enlist keeps its own). Its action runs in two phases.
+// The scan, over part j's candidates, writes only the part-j item each
+// worker releases (every edge has one, its unique releaser) and appends
+// the release to that worker's log. The owner pass, ForOtherParts, runs
+// after the scan's barrier: one worker per other part walks every log
+// and applies the releases to its part with plain writes, enlisting
+// what they made peelable. Part j′ is read by nobody before subround
+// j′, so the deferred writes change no peel set.
 type Kernel struct {
 	pool      *parallel.Pool
 	maxRounds int
@@ -129,6 +139,21 @@ func (k *Kernel) Enlist(w int, x uint32) {
 		i += int(x) / k.partSize
 	}
 	k.shards[i] = append(k.shards[i], x)
+}
+
+// ForOtherParts runs fn(w, p) once for every part p ≠ j, in parallel on
+// the kernel's pool: the owner pass of subround j. Part p has one owner,
+// so fn may write part p's state with plain writes; w indexes the
+// owner's Enlist shard. The pass runs min(W, parts−1) ways on a pool of
+// W workers.
+func (k *Kernel) ForOtherParts(j int, fn func(w, part int)) {
+	k.pool.For(k.parts, 1, func(w, lo, hi int) {
+		for p := lo; p < hi; p++ {
+			if p != j {
+				fn(w, p)
+			}
+		}
+	})
 }
 
 // RunCtx runs rounds until one peels nothing or the round cap is

@@ -24,7 +24,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/parallel"
@@ -33,17 +32,12 @@ import (
 
 // Cell is one check symbol: the XOR of the values of the data symbols
 // hashed to it, a XOR of their (index+1) tags, a count, and a checksum
-// that guards pure-cell detection after subtraction. Layout matters for
-// decodeRounds' 64-bit atomics on 32-bit platforms: the uint64 fields
-// lead and the explicit tail padding keeps the struct size a multiple
-// of 8, so every element of a []Cell (whose backing array the allocator
-// 8-aligns) has 8-aligned uint64 fields.
+// that guards pure-cell detection after subtraction.
 type Cell struct {
 	IdxSum   uint64 // XOR of (index+1); +1 keeps index 0 representable
 	ValueSum uint64 // XOR of symbol values
 	CheckSum uint64 // XOR of per-symbol checksums
 	Count    int32
-	_        [4]byte
 }
 
 // Code is a (cells, r, seed) configuration. Encoding and decoding must
@@ -88,9 +82,14 @@ func (c *Code) Cells() int { return c.cells }
 // subtable j, so the r cells are distinct.
 func (c *Code) positions(i int, pos []int) {
 	for j := range pos {
-		h := rng.Mix64(uint64(i+1) ^ c.hseed[j])
-		pos[j] = j*c.subSize + int((h>>32)*uint64(c.subSize)>>32)
+		pos[j] = c.position(i, j)
 	}
+}
+
+// position returns the cell of symbol index i in subtable j.
+func (c *Code) position(i, j int) int {
+	h := rng.Mix64(uint64(i+1) ^ c.hseed[j])
+	return j*c.subSize + int((h>>32)*uint64(c.subSize)>>32)
 }
 
 func (c *Code) checksum(i int) uint64 { return rng.Mix64(uint64(i+1) ^ c.cseed) }
@@ -199,9 +198,11 @@ func (c *Code) checkShape(data []uint64, present []bool, checks []Cell) error {
 // block (assumed intact, as in the Biff code model). On success every
 // entry of data is restored and present is all true. On failure
 // ErrDecodeFailed is returned and any symbols recovered before the stall
-// are filled in (present marks them). Mis-shaped inputs (data/present
-// length mismatch, or a check block that is not Cells() long) return an
-// error wrapping ErrShapeMismatch.
+// are filled in (present marks them). A forged check block cannot make
+// it panic or fill in a symbol twice: a cell is recovered only if it
+// names a missing symbol and is that symbol's cell in its subtable.
+// Mis-shaped inputs (data/present length mismatch, or a check block that
+// is not Cells() long) return an error wrapping ErrShapeMismatch.
 func (c *Code) Decode(data []uint64, present []bool, checks []Cell) error {
 	if err := c.checkShape(data, present, checks); err != nil {
 		return err
@@ -229,11 +230,13 @@ func (c *Code) Decode(data []uint64, present []bool, checks []Cell) error {
 // received-symbol subtraction pass (the O(data) part that dominates when
 // few symbols are missing) fans out through applyAllCtx, and recovery
 // runs the subround peel decodeRounds — the IBLT's subround decoder on
-// the erasure cells — instead of the serial queue peel. Results are
-// identical to Decode (peeling is confluent), and every subround's
-// recovered set, hence the barrier count, is the same at every pool
-// size. All per-call state is owned by the call, so concurrent decodes
-// may share one pool.
+// the erasure cells — instead of the serial queue peel. Like the IBLT
+// decoder it writes with plain stores only: each subround's scan logs
+// its recoveries, and one owner per other subtable applies them.
+// Results are identical to Decode (peeling is confluent), and every
+// subround's recovered set, hence the barrier count, is the same at
+// every pool size. All per-call state is owned by the call, so
+// concurrent decodes may share one pool.
 //
 // Cancellation is cooperative, checked inside the subtraction pass and
 // at every peeling round barrier. On cancellation it returns ctx.Err();
@@ -258,60 +261,64 @@ func (c *Code) DecodeCtx(ctx context.Context, data []uint64, present []bool, che
 
 // decodeRounds recovers the missing symbols with the Appendix B
 // subround peel on the pool: the core round kernel with the r
-// subtables as its parts, under the Frontier policy. Subround j
-// examines subtable j's candidate cells in parallel, recovers every
-// pure cell's symbol, subtracts it from its r cells, and enlists the
-// other r−1 for their subtables' subrounds. A symbol has exactly one
-// cell in subtable j, so it is recovered at most once per subround, and
-// its subtraction writes no other subtable-j cell: subround j's reads
-// see only earlier subrounds' writes, and each symbol's data and
-// present slots have one writer. Only the writes into other subtables,
-// which several recoveries may share, are atomic. Work is proportional
-// to cells + peeling work, like the serial peel, and the round
-// structure matches the paper's analysis (O(log log n) rounds below
-// threshold).
+// subtables as its parts, under the Frontier policy. A symbol has
+// exactly one cell in subtable j, so it is recovered at most once per
+// subround, and subround j writes no subtable-j cell but the recovering
+// one: subround j's reads see only earlier subrounds' writes, and each
+// symbol's data and present slots have one writer. Each subround runs
+// the kernel's two phases with plain writes only. The scan examines
+// subtable j's candidate cells in parallel, recovers every pure cell's
+// symbol, zeroes the cell and logs the symbol's index in its worker's
+// log. The owner pass then gives each other subtable p one worker,
+// which subtracts every logged symbol from its subtable-p cell and
+// enlists that cell. Work is proportional to cells + peeling work, like
+// the serial peel, and the round structure matches the paper's analysis
+// (O(log log n) rounds below threshold).
 func (c *Code) decodeRounds(ctx context.Context, work []Cell, data []uint64, present []bool, missing int, pool *parallel.Pool) error {
 	kern, err := core.NewKernel(ctx, core.Options{Scan: core.Frontier, Pool: pool}, c.r, c.subSize)
 	if err != nil {
 		return err
 	}
-	recovered := pool.NewCounter()
-	posBufs := make([][]int, pool.Workers())
-	for w := range posBufs {
-		posBufs[w] = make([]int, c.r)
-	}
+	logs := make([][]int, pool.Workers())
+	recovered := 0
 	err = kern.RunCtx(ctx, nil, func(cells []uint32) int {
-		before := recovered.Sum()
 		pool.For(len(cells), 512, func(w, lo, hi int) {
-			pos := posBufs[w]
 			for _, p := range cells[lo:hi] {
-				if !c.pure(&work[p]) {
+				i, ok := c.symbolAt(work, int(p), present)
+				if !ok {
 					continue
 				}
-				i, v := int(work[p].IdxSum-1), work[p].ValueSum
-				data[i] = v
+				data[i] = work[p].ValueSum
 				present[i] = true
-				recovered.Add(w, 1)
-				cs := c.checksum(i)
-				c.positions(i, pos)
-				for _, q := range pos {
-					atomic.AddInt32(&work[q].Count, -1)
-					parallel.XorUint64(&work[q].IdxSum, uint64(i+1))
-					parallel.XorUint64(&work[q].ValueSum, v)
-					parallel.XorUint64(&work[q].CheckSum, cs)
-					if q != int(p) {
-						kern.Enlist(w, uint32(q))
-					}
+				work[p] = Cell{}
+				logs[w] = append(logs[w], i)
+			}
+		})
+		kern.ForOtherParts(int(cells[0])/c.subSize, func(w, j int) {
+			for _, log := range logs {
+				for _, i := range log {
+					q := c.position(i, j)
+					work[q].Count--
+					work[q].IdxSum ^= uint64(i + 1)
+					work[q].ValueSum ^= data[i]
+					work[q].CheckSum ^= c.checksum(i)
+					kern.Enlist(w, uint32(q))
 				}
 			}
 		})
-		return int(recovered.Sum() - before)
+		n := 0
+		for w := range logs {
+			n += len(logs[w])
+			logs[w] = logs[w][:0]
+		}
+		recovered += n
+		return n
 	})
 	if err != nil {
 		return err
 	}
-	if got := int(recovered.Sum()); got != missing {
-		return fmt.Errorf("%w (recovered %d of %d)", ErrDecodeFailed, got, missing)
+	if recovered != missing {
+		return fmt.Errorf("%w (recovered %d of %d)", ErrDecodeFailed, recovered, missing)
 	}
 	return nil
 }
@@ -322,24 +329,24 @@ func (c *Code) peel(work []Cell, data []uint64, present []bool, missing int) err
 	pos := make([]int, c.r)
 	queue := make([]int, 0, 256)
 	for p := range work {
-		if c.pure(&work[p]) {
+		if _, ok := c.symbolAt(work, p, present); ok {
 			queue = append(queue, p)
 		}
 	}
 	recovered := 0
 	for head := 0; head < len(queue); head++ {
 		p := queue[head]
-		if !c.pure(&work[p]) {
+		idx, ok := c.symbolAt(work, p, present)
+		if !ok {
 			continue
 		}
-		idx := int(work[p].IdxSum - 1)
 		val := work[p].ValueSum
 		data[idx] = val
 		present[idx] = true
 		recovered++
 		c.apply(work, idx, val, pos, -1)
 		for _, q := range pos {
-			if c.pure(&work[q]) {
+			if _, ok := c.symbolAt(work, q, present); ok {
 				queue = append(queue, q)
 			}
 		}
@@ -350,13 +357,25 @@ func (c *Code) peel(work []Cell, data []uint64, present []bool, missing int) err
 	return nil
 }
 
-// pure reports whether cell holds exactly one missing symbol with a
-// consistent checksum and a valid index tag.
-func (c *Code) pure(cell *Cell) bool {
-	if cell.Count != 1 || cell.IdxSum == 0 {
-		return false
+// symbolAt reports whether cell p of work holds exactly one missing
+// symbol, and returns its index: the cell's count is 1, its index tag
+// names a symbol of data, p is that symbol's cell in p's own subtable,
+// its checksum matches, and the symbol is not present. The range,
+// position and presence checks keep a forged check block from naming a
+// symbol out of range, writing a cell its recovery does not own, or
+// recovering a symbol twice.
+func (c *Code) symbolAt(work []Cell, p int, present []bool) (int, bool) {
+	cell := &work[p]
+	if cell.Count != 1 || cell.IdxSum == 0 || cell.IdxSum-1 >= uint64(len(present)) {
+		return 0, false
 	}
-	return c.checksum(int(cell.IdxSum-1)) == cell.CheckSum
+	i, j := int(cell.IdxSum-1), p/c.subSize
+	// present[i] is read last: in subround j only i's own cell gets there,
+	// and that cell's worker is the only one that writes it.
+	if j >= c.r || c.position(i, j) != p || c.checksum(i) != cell.CheckSum || present[i] {
+		return 0, false
+	}
+	return i, true
 }
 
 // apply adds (delta = +1) or subtracts (delta = -1) symbol i with value

@@ -196,6 +196,52 @@ func TestDecodeShapeMismatch(t *testing.T) {
 	}
 }
 
+// TestForgedCheckCell feeds both decoders a check block with one forged
+// cell, every symbol missing: the cell passes the count and checksum
+// tests but names a symbol out of range, or a valid symbol at a cell
+// that is not its own. Neither decoder may panic or recover the symbol.
+func TestForgedCheckCell(t *testing.T) {
+	const n = 100
+	c := NewCode(61, 3, 5) // subSize 20, tail cell 60
+	wrong := 0
+	if c.position(7, 0) == wrong {
+		wrong = 1
+	}
+	pool := parallel.NewPool(2)
+	defer pool.Close()
+	for name, forge := range map[string]func(checks []Cell){
+		"index out of range": func(checks []Cell) {
+			checks[0] = Cell{Count: 1, IdxSum: 1<<40 + 1, CheckSum: c.checksum(1 << 40)}
+		},
+		"wrong position": func(checks []Cell) {
+			checks[wrong] = Cell{Count: 1, IdxSum: 8, ValueSum: 0xbad, CheckSum: c.checksum(7)}
+		},
+		"tail cell": func(checks []Cell) {
+			checks[60] = Cell{Count: 1, IdxSum: 8, ValueSum: 0xbad, CheckSum: c.checksum(7)}
+		},
+	} {
+		for _, decode := range []struct {
+			name string
+			run  func(data []uint64, present []bool, checks []Cell) error
+		}{
+			{"Decode", c.Decode},
+			{"DecodeCtx", func(data []uint64, present []bool, checks []Cell) error {
+				return c.DecodeCtx(context.Background(), data, present, checks, pool)
+			}},
+		} {
+			checks := make([]Cell, c.Cells())
+			forge(checks)
+			data, present := make([]uint64, n), make([]bool, n)
+			if err := decode.run(data, present, checks); !errors.Is(err, ErrDecodeFailed) {
+				t.Errorf("%s, %s: got %v, want ErrDecodeFailed", name, decode.name, err)
+			}
+			if present[7] || data[7] != 0 {
+				t.Errorf("%s, %s: recovered symbol 7 = %#x from a forged cell", name, decode.name, data[7])
+			}
+		}
+	}
+}
+
 func TestQuickRoundTrip(t *testing.T) {
 	// Property: any data block with losses below half the cells (load
 	// 0.5, well under threshold) decodes exactly.

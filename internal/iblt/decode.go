@@ -2,7 +2,6 @@ package iblt
 
 import (
 	"context"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/parallel"
@@ -82,15 +81,23 @@ func (s *recoveryShards) drainInto(res *ParallelResult) int {
 
 // decodeCtx is the parallel decoder: the subround peel of Appendix B on
 // the core round kernel, with the table's cells as items and its r
-// subtables as parts. Subround j examines subtable j's candidate cells
-// in parallel and deletes each pure cell's key from all r subtables. A
-// key occupies exactly one cell of subtable j, so it is recovered at
-// most once per subround — the paper's reason for the subtable layout —
-// and deleting it writes no other subtable-j cell: subround j's reads
-// see only earlier subrounds' writes, so no select pass is needed and
-// every subround's recovered set is fixed at its barrier. Only the
-// writes into other subtables, which several deletions may share, are
-// atomic.
+// subtables as parts. A key occupies exactly one cell of subtable j, so
+// it is recovered at most once per subround — the paper's reason for the
+// subtable layout — and subround j writes no subtable-j cell but the
+// recovered one: no select pass is needed, and every subround's
+// recovered set is fixed at its barrier.
+//
+// Each subround runs the kernel's two phases with plain writes only. The
+// scan examines subtable j's candidates in parallel, zeroes each pure
+// cell in place (it held exactly its key) and logs the key in its
+// worker's recovery shard. The owner pass then gives each other
+// subtable p one worker, which deletes every logged key from its
+// subtable-p cell and enlists that cell; the shards then drain into the
+// result.
+//
+// A valid table releases each cell at most once, so, like Decode, the
+// decoder stops once it has recovered Cells() keys: a crafted table can
+// recover one key over and over.
 //
 // scan only changes the work profile: Frontier enlists every cell a
 // deletion can make pure, so the recovered sets, completeness and round
@@ -109,6 +116,9 @@ func (t *Table) decodeCtx(ctx context.Context, scan core.ScanPolicy, pool *paral
 	res := &ParallelResult{}
 	shards := newRecoveryShards(pool.Workers())
 	err = kern.RunCtx(ctx, nil, func(cells []uint32) int {
+		if len(res.Added)+len(res.Removed) >= t.Cells() {
+			return 0 // a crafted table that cycles; see Decode
+		}
 		pool.For(len(cells), 512, func(w, lo, hi int) {
 			added, removed := shards.added[w], shards.removed[w]
 			for _, cell := range cells[lo:hi] {
@@ -117,16 +127,7 @@ func (t *Table) decodeCtx(ctx context.Context, scan core.ScanPolicy, pool *paral
 				if !isPure {
 					continue
 				}
-				cs := t.checksum(x)
-				for jj := 0; jj < t.r; jj++ {
-					c := t.cellIndex(x, jj)
-					atomic.AddInt64(&t.count[c], -sign)
-					parallel.XorUint64(&t.keySum[c], x)
-					parallel.XorUint64(&t.checkSum[c], cs)
-					if c != i {
-						kern.Enlist(w, uint32(c))
-					}
-				}
+				t.count[i], t.keySum[i], t.checkSum[i] = 0, 0, 0
 				if sign > 0 {
 					added = append(added, x)
 				} else {
@@ -134,6 +135,16 @@ func (t *Table) decodeCtx(ctx context.Context, scan core.ScanPolicy, pool *paral
 				}
 			}
 			shards.added[w], shards.removed[w] = added, removed
+		})
+		kern.ForOtherParts(int(cells[0])/t.subSize, func(w, p int) {
+			for s := range shards.added {
+				for _, x := range shards.added[s] {
+					kern.Enlist(w, uint32(t.remove(x, 1, p)))
+				}
+				for _, x := range shards.removed[s] {
+					kern.Enlist(w, uint32(t.remove(x, -1, p)))
+				}
+			}
 		})
 		return shards.drainInto(res)
 	})
@@ -143,4 +154,14 @@ func (t *Table) decodeCtx(ctx context.Context, scan core.ScanPolicy, pool *paral
 	res.Rounds, res.Subrounds = kern.Rounds, kern.Subrounds
 	res.Complete = t.empty()
 	return res, nil
+}
+
+// remove deletes key x, recovered with sign, from its subtable-p cell,
+// and returns that cell.
+func (t *Table) remove(x uint64, sign int64, p int) int {
+	c := t.cellIndex(x, p)
+	t.count[c] -= sign
+	t.keySum[c] ^= x
+	t.checkSum[c] ^= t.checksum(x)
+	return c
 }

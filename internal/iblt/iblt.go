@@ -18,12 +18,14 @@
 //   - Decode: queue-driven serial peeling, O(cells + keys·r).
 //   - The parallel decoder: round-based peeling on the core round
 //     kernel that iterates the r subtables serially within a round and
-//     examines each subtable's cells in parallel, deleting recovered
-//     keys from the other subtables with atomic XOR/add updates.
-//     Because a key occupies exactly one cell per subtable, no key can
-//     be recovered twice in one subround — the paper's reason for the
-//     subtable layout (Appendix B analyzes this variant's subround
-//     complexity). It has two scan policies: DecodeParallelCtx rescans
+//     examines each subtable's cells in parallel. Because a key
+//     occupies exactly one cell per subtable, no key can be recovered
+//     twice in one subround — the paper's reason for the subtable
+//     layout (Appendix B analyzes this variant's subround complexity).
+//     A subround's scan zeroes each pure cell and logs its key; then
+//     one owner per other subtable deletes the logged keys from its
+//     cells. Every write is a plain one, with no atomics. It has two
+//     scan policies: DecodeParallelCtx rescans
 //     every cell of the subtable each subround (the paper's GPU
 //     strategy), and DecodeParallelFrontierCtx examines only the cells
 //     touched since their last examination. They recover the same keys.
@@ -44,8 +46,8 @@ import (
 )
 
 // cell fields are kept in separate arrays (structure-of-arrays) so the
-// parallel scan streams each field and atomic updates touch independent
-// cache words.
+// parallel scan streams each field and the bulk insert's atomic updates
+// touch independent cache words.
 type Table struct {
 	r       int
 	subSize int
@@ -280,14 +282,16 @@ func (t *Table) Subtract(other *Table) {
 }
 
 // pure reports whether cell i holds exactly one key, and returns that key
-// and its sign (+1: surplus/inserted side, −1: deficit/deleted side).
+// and its sign (+1: surplus/inserted side, −1: deficit/deleted side). The
+// key must also hash to cell i in i's subtable, so a crafted table cannot
+// name a key whose deletion would write another cell of that subtable.
 func (t *Table) pure(i int) (x uint64, sign int64, ok bool) {
 	c := t.count[i]
 	if c != 1 && c != -1 {
 		return 0, 0, false
 	}
 	x = t.keySum[i]
-	if x == 0 || t.checksum(x) != t.checkSum[i] {
+	if x == 0 || t.checksum(x) != t.checkSum[i] || t.cellIndex(x, i/t.subSize) != i {
 		return 0, 0, false
 	}
 	return x, c, true
@@ -299,6 +303,11 @@ func (t *Table) pure(i int) (x uint64, sign int64, ok bool) {
 // destructive; Clone first if the table is still needed. Partial results
 // are returned even when ok = false — the recovered-percentage column of
 // the paper's Tables 3-4 is len(added)/keys on failing loads.
+//
+// A recovery leaves its pure cell holding no key, and cells only lose
+// keys, so a valid table recovers at most Cells() keys. A crafted one
+// can cycle (one key, pure in one cell and absent from its others, is
+// recovered with alternating signs forever), so Decode stops there.
 func (t *Table) Decode() (added, removed []uint64, ok bool) {
 	queue := make([]int, 0, 256)
 	for i := range t.count {
@@ -306,7 +315,7 @@ func (t *Table) Decode() (added, removed []uint64, ok bool) {
 			queue = append(queue, i)
 		}
 	}
-	for head := 0; head < len(queue); head++ {
+	for head := 0; head < len(queue) && len(added)+len(removed) < len(t.count); head++ {
 		i := queue[head]
 		x, sign, isPure := t.pure(i)
 		if !isPure {

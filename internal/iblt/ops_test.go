@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -280,6 +281,30 @@ func BenchmarkDecodeParallelFrontier(b *testing.B) {
 		if res := table.DecodeParallelFrontier(); !res.Complete {
 			b.Fatal("decode failed")
 		}
+	}
+}
+
+// BenchmarkDecodeFrontierLarge times the Frontier decoder at the
+// geometry of peelbench's decode workload: 2^17 keys at load 0.75 with
+// r = 3, on pools of 1 and 2 workers.
+func BenchmarkDecodeFrontierLarge(b *testing.B) {
+	keys := randomKeys(1<<17, 1)
+	master := New(len(keys)*4/3, 3, 1)
+	master.InsertAll(keys)
+	for _, workers := range []int{1, 2} {
+		pool := parallel.NewPool(workers)
+		b.Run(fmt.Sprintf("W=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				table := master.Clone()
+				b.StartTimer()
+				if res, err := table.DecodeParallelFrontierCtx(context.Background(), pool); err != nil || !res.Complete {
+					b.Fatalf("decode failed: %v", err)
+				}
+			}
+		})
+		pool.Close()
 	}
 }
 

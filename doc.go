@@ -64,7 +64,8 @@
 // set at every worker count. The key peel, IBLT decode and erasure
 // recovery need no atomic writes either: each subround's scan logs its
 // releases, and then one owner per other subtable applies them with
-// plain writes. An erasure code's check cells therefore form r
+// plain writes, enlisting its own subtable's items without an atomic
+// either. An erasure code's check cells therefore form r
 // subtables of ⌊cells/r⌋ cells; the cells mod r tail cells are never
 // written, and NewErasureCode panics when cells < r. The kernel runs on
 // the Runtime's pool (internal/parallel.Pool): workers stay alive
@@ -94,11 +95,15 @@
 // decoding. Every edge meets each subround's part in exactly one
 // vertex, so it has a unique releaser and the subround-major
 // PeelOrder/FreeVertex output is bit-identical at every worker count
-// with no claim. Reverse subround-major order is a valid elimination
-// order — within a subround every peeled edge has a distinct free
-// vertex, and non-free endpoints lie in other parts and finalize
-// strictly later — so the MPHF g-value assignment and the Bloomier
-// back-substitution run subround-parallel too: no serial phase remains
+// with no claim. An edge freed in subround t was freed by its endpoint
+// in part (t−1) mod 3, so the peel stores only each edge's subround and
+// reads the free vertex off it. Reverse subround-major order is a valid
+// elimination order — within a subround every peeled edge has a
+// distinct free vertex, and non-free endpoints lie in other parts and
+// finalize strictly later — so the MPHF g-value assignment and the
+// Bloomier back-substitution run subround-parallel too, with no atomic
+// (the MPHF sweep marks assigned g bytes and builds its used bitmap
+// from the marks in one word-parallel pass): no serial phase remains
 // in BuildMPHF/BuildStaticMap, and a canceled build stops at the next
 // subround barrier rather than the next phase. Failed builds report
 // the last attempt's 2-core survivor count through ErrMPHFBuildFailed /

@@ -62,7 +62,9 @@ var ErrDuplicateKeys = core.ErrDuplicateKeys
 
 // Build constructs a filter mapping keys[i] → values[i]. Keys must be
 // distinct (duplicates return ErrDuplicateKeys). gamma is the slot/key
-// ratio (use DefaultGamma); maxTries bounds seed retries. The whole
+// ratio (use DefaultGamma); a gamma outside [layout.MinGamma,
+// layout.MaxGamma] = [1.1, 4], or a table of 2^32 or more slots, is an
+// error (see layout.SubSize). maxTries bounds seed retries. The whole
 // build path — hashing, the subround peel, and segment-parallel
 // back-substitution — runs on the process-wide default pool; use
 // BuildCtx to pin it to an explicit one. The resulting filter is
@@ -93,16 +95,13 @@ func BuildCtx(ctx context.Context, keys, values []uint64, gamma float64, seed ui
 	if len(keys) != len(values) {
 		return nil, fmt.Errorf("bloomier: %d keys but %d values", len(keys), len(values))
 	}
-	if gamma < 1.1 {
-		return nil, fmt.Errorf("bloomier: gamma %.3f too small (< 1.1 cannot peel)", gamma)
+	m := len(keys)
+	subSize, err := layout.SubSize(m, gamma)
+	if err != nil {
+		return nil, fmt.Errorf("bloomier: %w", err)
 	}
 	if maxTries <= 0 {
 		maxTries = 10
-	}
-	m := len(keys)
-	subSize := int(gamma*float64(m))/arity + 1
-	if subSize < 2 {
-		subSize = 2
 	}
 	survivors := 0
 	for try := 0; try < maxTries; try++ {
@@ -163,22 +162,19 @@ func buildAttempt(ctx context.Context, keys, values []uint64, attemptSeed uint64
 	}
 	im := layout.NewBloomier(attemptSeed, hseed, m, subSize)
 	slots := im.Slots
-	// Reverse subround-major order: the free vertex's slot is still
-	// untouched when its edge is processed, and the other two slots are
-	// final.
+	// Reverse subround-major order: a subround-t edge's free vertex is
+	// its endpoint at position p = (t−1) mod 3 (core.PeelKeys frees
+	// subround t's edges through that part); its slot is still untouched
+	// when the edge is processed, and the other two slots are final.
 	for t := ord.Segments(); t >= 1; t-- {
 		seg := ord.RoundSegment(t)
+		p := (t - 1) % arity
+		q, r := (p+1)%arity, (p+2)%arity
 		if err := pool.ForCtx(ctx, len(seg), 1024, func(_, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				e := int(seg[i])
-				free := ord.FreeVertex[e]
-				acc := values[e]
-				for _, u := range edges[3*e : 3*e+3] {
-					if u != free {
-						acc ^= slots[u]
-					}
-				}
-				slots[free] = acc
+				vs := edges[3*e:]
+				slots[vs[p]] = values[e] ^ slots[vs[q]] ^ slots[vs[r]]
 			}
 		}); err != nil {
 			return nil, 0, err

@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/layout"
 	"repro/internal/parallel"
 	"repro/internal/rng"
 )
@@ -84,10 +86,18 @@ func TestDuplicateKeysRejected(t *testing.T) {
 	}
 }
 
-func TestGammaTooSmall(t *testing.T) {
-	keys, values := buildInputs(10, 3)
-	if _, err := Build(keys, values, 1.0, 1, 3); err == nil {
-		t.Fatal("gamma 1.0 accepted")
+// TestGammaOutOfRangeRejected pins the gamma bounds, as in
+// internal/mphf: NaN and huge gammas are errors, not tiny or
+// unallocatable tables.
+func TestGammaOutOfRangeRejected(t *testing.T) {
+	keys, values := buildInputs(3, 3)
+	for _, gamma := range []float64{1.0, math.NaN(), math.Inf(1), 1e12, layout.MaxGamma + 0.01} {
+		if f, err := Build(keys, values, gamma, 1, 3); err == nil {
+			t.Errorf("gamma %v accepted: %d slots", gamma, f.Slots())
+		}
+	}
+	if _, err := Build(keys, values, layout.MaxGamma, 1, 3); err != nil {
+		t.Errorf("gamma %v rejected: %v", layout.MaxGamma, err)
 	}
 }
 

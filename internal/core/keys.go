@@ -37,10 +37,13 @@ var ErrDuplicateKeys = errors.New("duplicate keys")
 // subrounds: subround j's peel set is fixed at its barrier, and every
 // edge has a unique releaser, its part-j endpoint. The result is
 // therefore identical at every worker count with no claim pass. Nor does
-// it need atomics: the scan zeroes each releasing vertex's degree and
-// logs the freed edge in its worker's log, and then one owner per other
-// part subtracts every logged edge from its endpoint there (the
-// kernel's owner pass), with plain writes.
+// it need atomics: the scan zeroes each releasing vertex's degree,
+// records the edge's subround and logs the edge in its worker's log, and
+// then one owner per other part subtracts every logged edge from its
+// endpoint there (the kernel's owner pass), with plain writes. The scan
+// stores no free vertex: an edge freed in subround t was released by its
+// endpoint in part (t−1) mod 3, so FreeVertex is read off RoundOf and
+// the edge list after the peel.
 //
 // Equal keys hash to identical edges, whose vertices keep degree ≥ 2, so
 // every duplicated key survives into the core under any seed: PeelKeys
@@ -56,8 +59,7 @@ func PeelKeys(ctx context.Context, keys []uint64, subSize int, hash func(x uint6
 	edges := make([]uint32, 3*m)
 	if err := pool.ForCtx(ctx, m, grain, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			tri := hash(keys[i])
-			copy(edges[3*i:], tri[:])
+			*(*[3]uint32)(edges[3*i:]) = hash(keys[i])
 		}
 	}); err != nil {
 		return nil, nil, err
@@ -100,7 +102,6 @@ func PeelKeys(ctx context.Context, keys []uint64, subSize int, hash func(x uint6
 				}
 				e := vs[v].sum
 				vs[v].cnt = 0
-				ord.FreeVertex[e] = v
 				ord.RoundOf[e] = sub
 				freed[w] = append(freed[w], e)
 			}
@@ -141,6 +142,8 @@ func PeelKeys(ctx context.Context, keys []uint64, subSize int, hash func(x uint6
 			ord.EdgeAlive[e] = 1
 			ord.FreeVertex[e] = NoVertex
 			ord.CoreEdges++
+		} else {
+			ord.FreeVertex[e] = edges[3*e+int(t-1)%3]
 		}
 	}
 	if ord.Empty() {

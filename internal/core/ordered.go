@@ -18,7 +18,9 @@ import (
 //   - PeelKeys, the builders' peel, runs Appendix B subrounds on a
 //     3-partite graph; its segments are subrounds. Subround j frees an
 //     edge only through the edge's one part-j endpoint, so every edge
-//     has a unique releaser.
+//     has a unique releaser, and a segment-t edge's free vertex is its
+//     endpoint at position (t−1) mod 3. PeelKeys derives FreeVertex
+//     from RoundOf that way after the peel.
 //   - ParallelOrder peels any hypergraph in plain rounds; its segments
 //     are rounds. Several endpoints of an edge can peel in one round,
 //     and the minimum vertex id frees it.

@@ -39,15 +39,17 @@ const grain = 2048
 // item never changes whether another part-j item is peelable — true in
 // subround j whenever every edge meets part j exactly once.
 //
-// Such a subround peel needs no atomic read-modify-write on its peel
-// state either (Enlist keeps its own). Its action runs in two phases.
-// The scan, over part j's candidates, writes only the part-j item each
-// worker releases (every edge has one, its unique releaser) and appends
-// the release to that worker's log. The owner pass, ForOtherParts, runs
-// after the scan's barrier: one worker per other part walks every log
-// and applies the releases to its part with plain writes, enlisting
-// what they made peelable. Part j′ is read by nobody before subround
-// j′, so the deferred writes change no peel set.
+// Such a subround peel needs no atomic read-modify-write at all. Its
+// action runs in two phases. The scan, over part j's candidates, writes
+// only the part-j item each worker releases (every edge has one, its
+// unique releaser) and appends the release to that worker's log. The
+// owner pass, ForOtherParts, runs after the scan's barrier: one worker
+// per other part walks every log and applies the releases to its part
+// with plain writes, enlisting what they made peelable. Part j′ is read
+// by nobody before subround j′, so the deferred writes change no peel
+// set. An owner enlists only its own part's items, so Enlist sets their
+// pending marks with plain writes too; it keeps its compare-and-swap
+// for enlists from a scan, where two workers may list one item.
 type Kernel struct {
 	pool      *parallel.Pool
 	maxRounds int
@@ -62,6 +64,7 @@ type Kernel struct {
 	stride  int        // parts plus padding that keeps workers' shard headers a cache line apart
 	picks   [][]uint32 // select-pass shards, [worker]
 	picked  []uint32   // the select pass's merged output
+	owned   bool       // inside ForOtherParts: each part has one writer
 
 	// Rounds counts productive rounds, and Subrounds is the index of the
 	// last productive subround, counted across rounds. Peeled[i] is the
@@ -128,9 +131,19 @@ func (k *Kernel) Round() int { return k.round }
 // Enlist makes x a candidate of its part's next subround. Under Frontier
 // it lists x unless x is already listed; under FullScan, where every
 // subround visits its whole part, it does nothing. Call it from worker
-// w's chunks only (or with w = 0 outside any pool.For).
+// w's chunks only (or with w = 0 outside any pool.For). Inside
+// ForOtherParts the pending mark is a plain load and store; elsewhere it
+// is taken with a compare-and-swap.
 func (k *Kernel) Enlist(w int, x uint32) {
-	if k.pending == nil || atomic.LoadUint32(&k.pending[x]) != 0 ||
+	if k.pending == nil {
+		return
+	}
+	if k.owned {
+		if k.pending[x] != 0 {
+			return
+		}
+		k.pending[x] = 1
+	} else if atomic.LoadUint32(&k.pending[x]) != 0 ||
 		!atomic.CompareAndSwapUint32(&k.pending[x], 0, 1) {
 		return
 	}
@@ -144,9 +157,11 @@ func (k *Kernel) Enlist(w int, x uint32) {
 // ForOtherParts runs fn(w, p) once for every part p ≠ j, in parallel on
 // the kernel's pool: the owner pass of subround j. Part p has one owner,
 // so fn may write part p's state with plain writes; w indexes the
-// owner's Enlist shard. The pass runs min(W, parts−1) ways on a pool of
-// W workers.
+// owner's Enlist shard. fn(w, p) may enlist only part-p items: their
+// pending marks are then written by their owner alone, with no atomic.
+// The pass runs min(W, parts−1) ways on a pool of W workers.
 func (k *Kernel) ForOtherParts(j int, fn func(w, part int)) {
+	k.owned = true
 	k.pool.For(k.parts, 1, func(w, lo, hi int) {
 		for p := lo; p < hi; p++ {
 			if p != j {
@@ -154,6 +169,7 @@ func (k *Kernel) ForOtherParts(j int, fn func(w, part int)) {
 			}
 		}
 	})
+	k.owned = false
 }
 
 // RunCtx runs rounds until one peels nothing or the round cap is

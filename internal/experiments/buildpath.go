@@ -76,7 +76,7 @@ func RunBuildPath(cfg BuildPathConfig) []BuildPathRow {
 
 	var rows []BuildPathRow
 	for _, m := range cfg.Ns {
-		subSize := int(cfg.Gamma*float64(m))/3 + 1
+		subSize := must(layout.SubSize(m, cfg.Gamma))
 		keys := make([]uint64, m)
 		gen := rng.New(cfg.Seed)
 		for i := range keys {

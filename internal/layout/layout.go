@@ -130,6 +130,37 @@ func VertexTriple(hseed [Arity]uint64, subSize int, x uint64) [Arity]uint32 {
 	return vs
 }
 
+// MinGamma and MaxGamma bound the vertex/key ratio γ the builders
+// accept. Below MinGamma the edge density 1/γ exceeds 0.9, far above
+// the peeling threshold c*(2,3) ≈ 0.818, so no attempt peels; above MaxGamma
+// the table only grows, since at γ = 1.23 the peel already succeeds
+// w.h.p.
+const (
+	MinGamma = 1.1
+	MaxGamma = 4
+)
+
+// SubSize returns the part size of a builder's table over keys keys at
+// vertex/key ratio gamma: ⌊gamma·keys⌋/3 + 1, and at least 2. It
+// rejects a gamma outside [MinGamma, MaxGamma], NaN included, and a
+// table of 2^32 or more vertices, whose vertex ids would overflow
+// VertexTriple's uint32 output and the peel's item bound.
+func SubSize(keys int, gamma float64) (int, error) {
+	if !(gamma >= MinGamma) {
+		return 0, fmt.Errorf("gamma %.3f too small (< %v cannot peel)", gamma, MinGamma)
+	}
+	if !(gamma <= MaxGamma) {
+		return 0, fmt.Errorf("gamma %.3f too large (> %v)", gamma, MaxGamma)
+	}
+	// ⌊v⌋/3 + 1 reaches ⌈2^32/3⌉ exactly when v ≥ 2^32 − 1; the check
+	// also keeps v in int range.
+	v := gamma * float64(keys)
+	if v >= 1<<32-1 {
+		return 0, fmt.Errorf("%d keys at gamma %.3f need 2^32 or more vertices", keys, gamma)
+	}
+	return max(int(v)/Arity+1, 2), nil
+}
+
 // Vertices returns the total vertex count n = 3·SubSize.
 func (im *Image) Vertices() int { return im.SubSize * Arity }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math"
 	"testing"
 	"unsafe"
 )
@@ -227,6 +228,39 @@ func TestVertexTripleInParts(t *testing.T) {
 			if v < uint32(j*subSize) || v >= uint32((j+1)*subSize) {
 				t.Fatalf("key %d part %d: vertex %d out of part", x, j, v)
 			}
+		}
+	}
+}
+
+// TestSubSizeBounds pins the builders' geometry check: gamma must lie in
+// [MinGamma, MaxGamma], and the table must stay below 2^32 vertices so
+// that VertexTriple's uint32 ids cannot wrap. 1.5 × 2863311530 is
+// 2^32 − 1, the first product whose table reaches 2^32.
+func TestSubSizeBounds(t *testing.T) {
+	for _, c := range []struct {
+		keys  int
+		gamma float64
+		ok    bool
+	}{
+		{0, 1.23, true},
+		{1000, MinGamma, true},
+		{1000, MaxGamma, true},
+		{1000, 1.0, false},
+		{1000, MaxGamma + 0.01, false},
+		{1000, math.NaN(), false},
+		{1000, math.Inf(1), false},
+		{3, 1e12, false},
+		{2863311529, 1.5, true},
+		{2863311530, 1.5, false},
+		{1 << 62, MaxGamma, false},
+	} {
+		sub, err := SubSize(c.keys, c.gamma)
+		if (err == nil) != c.ok {
+			t.Errorf("SubSize(%d, %v) = %d, %v; want ok=%v", c.keys, c.gamma, sub, err, c.ok)
+			continue
+		}
+		if err == nil && (sub < 2 || uint64(sub)*Arity >= 1<<32 || sub*Arity < int(c.gamma*float64(c.keys))) {
+			t.Errorf("SubSize(%d, %v) = %d: outside [max(2, γ·keys/3), 2^32/3)", c.keys, c.gamma, sub)
 		}
 	}
 }

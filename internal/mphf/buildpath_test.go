@@ -23,9 +23,9 @@ import (
 // flat layout image.
 func buildSerialPeel(keys []uint64, gamma float64, seed uint64, maxTries int) (*MPHF, error) {
 	m := len(keys)
-	subSize := int(gamma*float64(m))/arity + 1
-	if subSize < 2 {
-		subSize = 2
+	subSize, err := layout.SubSize(m, gamma)
+	if err != nil {
+		return nil, err
 	}
 	for try := 0; try < maxTries; try++ {
 		attemptSeed, hseed := attemptSeeds(seed, try)
@@ -143,8 +143,9 @@ func TestBuildFailedReportsSurvivors(t *testing.T) {
 // BenchmarkBuildMPHF is the build-path acceptance benchmark: the old
 // serial-peel construction against the ordered-peel build at several
 // pool sizes (pools hoisted out of the timed loop). The fixed seed
-// peels on the first attempt in every variant, so all variants time
-// exactly one hash + index + peel + assign pipeline per op.
+// peels on the first attempt in every variant, so each op times one
+// attempt: hashing, the peel, the g sweep and sealing — and, in the
+// serial variant only, the CSR index its queue peel walks.
 func BenchmarkBuildMPHF(b *testing.B) {
 	keys := randomKeys(1<<17, 1)
 	b.Run("SerialPeel", func(b *testing.B) {

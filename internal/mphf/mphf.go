@@ -20,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/faultinject"
@@ -36,6 +35,10 @@ const DefaultGamma = 1.23
 // arity is fixed: BDZ uses 3 hashes (γ would need to exceed 1/0.772 ≈ 1.295
 // table growth for r = 4 with no lookup benefit).
 const arity = layout.Arity
+
+// usedMark flags a g byte assigned by the sweep until the used bitmap is
+// built from the marks; g values themselves are below arity.
+const usedMark = 0x80
 
 // MPHF is an immutable minimal perfect hash function over the key set it
 // was built from: Lookup maps each build key to a distinct value in
@@ -62,7 +65,9 @@ var ErrDuplicateKeys = core.ErrDuplicateKeys
 
 // Build constructs an MPHF for the distinct keys using the given
 // vertex/key ratio gamma (use DefaultGamma) and an initial seed; it
-// retries with derived seeds up to maxTries times (10 is plenty).
+// retries with derived seeds up to maxTries times (10 is plenty). A
+// gamma outside [layout.MinGamma, layout.MaxGamma] = [1.1, 4], or a
+// table of 2^32 or more vertices, is an error (see layout.SubSize).
 // The whole build path — hashing, the subround peel, and the
 // segment-parallel g-value assignment — runs on the process-wide
 // default pool; use BuildCtx to pin it to an explicit one. The
@@ -83,8 +88,10 @@ func Build(keys []uint64, gamma float64, seed uint64, maxTries int) (*MPHF, erro
 // function, are identical at every pool size. The assignment processes
 // the subrounds in reverse with full parallelism inside each one (every
 // peeled edge of a subround has a distinct free vertex, and its other
-// endpoints finalize strictly later). All per-build state is owned by
-// the call, so many builds may run concurrently on one shared pool.
+// endpoints finalize strictly later) and no atomic: it marks each
+// assigned g byte, and one word-parallel pass then builds the used
+// bitmap from the marks. All per-build state is owned by the call, so
+// many builds may run concurrently on one shared pool.
 //
 // Cancellation is cooperative, checked at every subround barrier of
 // every attempt's peel and assignment sweep (and at the phase barriers
@@ -94,16 +101,13 @@ func Build(keys []uint64, gamma float64, seed uint64, maxTries int) (*MPHF, erro
 //
 //peelvet:deterministic
 func BuildCtx(ctx context.Context, keys []uint64, gamma float64, seed uint64, maxTries int, pool *parallel.Pool) (*MPHF, error) {
-	if gamma < 1.1 {
-		return nil, fmt.Errorf("mphf: gamma %.3f too small (< 1.1 cannot peel)", gamma)
+	m := len(keys)
+	subSize, err := layout.SubSize(m, gamma)
+	if err != nil {
+		return nil, fmt.Errorf("mphf: %w", err)
 	}
 	if maxTries <= 0 {
 		maxTries = 10
-	}
-	m := len(keys)
-	subSize := int(gamma*float64(m))/arity + 1
-	if subSize < 2 {
-		subSize = 2
 	}
 	survivors := 0
 	for try := 0; try < maxTries; try++ {
@@ -162,39 +166,47 @@ func buildAttempt(ctx context.Context, keys []uint64, attemptSeed uint64, hseed 
 	// there is no separate in-memory representation to convert from.
 	im := layout.NewMPHF(attemptSeed, hseed, m, subSize)
 
-	// Reverse subround-major order: when edge e (freed by vertex v at
-	// position p) is processed, the other two endpoints' g values are
-	// final — within a subround every peeled edge has a distinct free
-	// vertex, and non-free endpoints lie in other parts and free edges
-	// only in strictly later subrounds (see core.OrderedResult) — so the
-	// edges of one subround are assigned concurrently:
+	// Reverse subround-major order: when edge e of subround t is
+	// processed, its free vertex v is its endpoint at position
+	// p = (t−1) mod 3 (core.PeelKeys frees subround t's edges through
+	// that part), and the other two endpoints' g values are final —
+	// within a subround every peeled edge has a distinct free vertex,
+	// and non-free endpoints lie in other parts and free edges only in
+	// strictly later subrounds (see core.OrderedResult) — so the edges
+	// of one subround are assigned concurrently:
 	// g[v] = (p − g[u1] − g[u2]) mod 3 makes the lookup rule
-	// (g[v0]+g[v1]+g[v2]) mod 3 == p hold. The used bitmap is the only
-	// shared word array, updated with an atomic OR. Unassigned vertices
+	// (g[v0]+g[v1]+g[v2]) mod 3 == p hold. A g value is 0, 1 or 2, so
+	// the sweep marks each assigned vertex with the byte's top bit, and
+	// a pass over whole bitmap words then moves the marks into the used
+	// bitmap; no word is shared between writers. Unassigned vertices
 	// keep 0.
 	gv, used := im.G, im.Used
 	for t := ord.Segments(); t >= 1; t-- {
 		seg := ord.RoundSegment(t)
+		p := (t - 1) % arity
+		q, r := (p+1)%arity, (p+2)%arity
 		if err := pool.ForCtx(ctx, len(seg), 1024, func(_, lo, hi int) {
 			for i := lo; i < hi; i++ {
-				e := int(seg[i])
-				free := ord.FreeVertex[e]
-				vs := edges[3*e : 3*e+3]
-				sum := 0
-				p := -1
-				for pos, u := range vs {
-					if u == free {
-						p = pos
-					} else {
-						sum += int(gv[u])
-					}
-				}
-				gv[free] = uint8(((p-sum)%arity + arity) % arity)
-				atomic.OrUint64(&used[free>>6], 1<<(uint(free)&63))
+				vs := edges[3*int(seg[i]):]
+				sum := int(gv[vs[q]]&^usedMark) + int(gv[vs[r]]&^usedMark)
+				gv[vs[p]] = uint8((p-sum+2*arity)%arity) | usedMark
 			}
 		}); err != nil {
 			return nil, 0, err
 		}
+	}
+	if err := pool.ForCtx(ctx, len(used), 64, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			g := gv[64*i : min(64*i+64, len(gv))]
+			var w uint64
+			for b, x := range g {
+				w |= uint64(x>>7) << b
+				g[b] = x &^ usedMark
+			}
+			used[i] = w
+		}
+	}); err != nil {
+		return nil, 0, err
 	}
 
 	// Rank directory: prefix popcounts per word for O(1) rank.

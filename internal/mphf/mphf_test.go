@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/layout"
 	"repro/internal/parallel"
 	"repro/internal/rng"
 )
@@ -94,9 +96,17 @@ func TestDuplicatePairRejected(t *testing.T) {
 	}
 }
 
-func TestGammaTooSmall(t *testing.T) {
-	if _, err := Build(randomKeys(10, 1), 1.0, 1, 3); err == nil {
-		t.Fatal("gamma 1.0 accepted")
+// TestGammaOutOfRangeRejected pins the gamma bounds: NaN once passed a
+// "gamma < 1.1" check and built a 3-key function on 6 vertices, and a
+// huge gamma asked for a table the process could not allocate.
+func TestGammaOutOfRangeRejected(t *testing.T) {
+	for _, gamma := range []float64{1.0, math.NaN(), math.Inf(1), 1e12, layout.MaxGamma + 0.01} {
+		if f, err := Build(randomKeys(3, 1), gamma, 1, 3); err == nil {
+			t.Errorf("gamma %v accepted: %d vertices", gamma, f.Vertices())
+		}
+	}
+	if _, err := Build(randomKeys(3, 1), layout.MaxGamma, 1, 3); err != nil {
+		t.Errorf("gamma %v rejected: %v", layout.MaxGamma, err)
 	}
 }
 

@@ -93,11 +93,14 @@
 // Appendix B process on the 3-partite key hypergraph, run with only a
 // live degree and a sum of live edge ids per vertex, as in IBLT
 // decoding. Every edge meets each subround's part in exactly one
-// vertex, so it has a unique releaser and the subround-major
-// PeelOrder/FreeVertex output is bit-identical at every worker count
-// with no claim. An edge freed in subround t was freed by its endpoint
-// in part (t−1) mod 3, so the peel stores only each edge's subround and
-// reads the free vertex off it. Reverse subround-major order is a valid
+// vertex, so it has a unique releaser, and no claim is needed. Each
+// subround's scan writes its releases straight into the subround-major
+// peel order, at the offsets of the candidate chunks that freed them,
+// and packs them in chunk order at the barrier, so the order is
+// bit-identical at every worker count and needs no sort. An edge freed
+// in subround t was freed by its endpoint in part (t−1) mod 3, so the
+// peel stores no free vertex and no per-edge subround: the segment
+// names both. Reverse subround-major order is a valid
 // elimination order — within a subround every peeled edge has a
 // distinct free vertex, and non-free endpoints lie in other parts and
 // finalize strictly later — so the MPHF g-value assignment and the

@@ -77,8 +77,15 @@ func RunUnitchecker(cfgPath string, analyzers []*Analyzer, stderr io.Writer) int
 	// Import the facts of every already-analyzed dependency. A vetx file
 	// cmd/go names but cannot be read is an error: silently dropping it
 	// would turn real cross-package findings into false negatives.
+	// Standard-library facts are not imported: the standalone driver
+	// never analyzes the standard library, and fact-driven analyzers
+	// trust calls into packages that were not analyzed (see DetFlow), so
+	// both drivers judge a call into the standard library the same way.
 	store := NewFactStore()
 	for path, file := range cfg.PackageVetx {
+		if cfg.Standard[path] {
+			continue
+		}
 		data, err := os.ReadFile(file)
 		if err != nil {
 			fmt.Fprintf(stderr, "peelvet: reading facts for %s: %v\n", path, err)

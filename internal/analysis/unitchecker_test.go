@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -91,8 +92,9 @@ func TestUnitcheckerTypecheckFailure(t *testing.T) {
 	}
 }
 
-func TestUnitcheckerVetxOnly(t *testing.T) {
-	cfgPath, vetx := writeUnit(t, "package tmpvet\n\nfunc f() {\n\tgo func() {}()\n}\n", false)
+// rewriteUnit applies edit to the vet config at cfgPath.
+func rewriteUnit(t *testing.T, cfgPath string, edit func(*vetConfig)) {
+	t.Helper()
 	data, err := os.ReadFile(cfgPath)
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +103,7 @@ func TestUnitcheckerVetxOnly(t *testing.T) {
 	if err := json.Unmarshal(data, &cfg); err != nil {
 		t.Fatal(err)
 	}
-	cfg.VetxOnly = true
+	edit(&cfg)
 	data, err = json.Marshal(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -109,11 +111,60 @@ func TestUnitcheckerVetxOnly(t *testing.T) {
 	if err := os.WriteFile(cfgPath, data, 0o666); err != nil {
 		t.Fatal(err)
 	}
+}
+
+func TestUnitcheckerVetxOnly(t *testing.T) {
+	cfgPath, vetx := writeUnit(t, "package tmpvet\n\nfunc f() {\n\tgo func() {}()\n}\n", false)
+	rewriteUnit(t, cfgPath, func(cfg *vetConfig) { cfg.VetxOnly = true })
 	var stderr bytes.Buffer
 	if code := RunUnitchecker(cfgPath, Analyzers(), &stderr); code != ExitClean {
 		t.Fatalf("exit = %d, want %d in VetxOnly mode\nstderr: %s", code, ExitClean, stderr.String())
 	}
 	if _, err := os.Stat(vetx); err != nil {
 		t.Errorf("VetxOutput not written: %v", err)
+	}
+}
+
+// TestUnitcheckerTrustsStandardLibrary checks the vet-tool driver judges
+// a determinism root that calls fmt.Errorf as the standalone driver
+// does: clean. cmd/go hands the tool facts for the standard library
+// too, and analyzed, fmt.Errorf reaches a select in the runtime; the
+// unit gets such a fact here. Marked standard, the fact is ignored;
+// unmarked, the same fact is a finding, so the fact is live.
+func TestUnitcheckerTrustsStandardLibrary(t *testing.T) {
+	out, err := exec.Command("go", "list", "-export", "-f", "{{.Export}}", "fmt").Output()
+	if err != nil {
+		t.Fatalf("go list -export fmt: %v", err)
+	}
+	export := strings.TrimSpace(string(out))
+	store := NewFactStore()
+	store.put("fmt", "Errorf", &Deterministic{Reason: "selects across channels in runtime.clearpools"})
+	facts, err := store.EncodePackage("fmt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fmtVetx := filepath.Join(t.TempDir(), "fmt.vetx")
+	if err := os.WriteFile(fmtVetx, facts, 0o666); err != nil {
+		t.Fatal(err)
+	}
+	const src = "package tmpvet\n\nimport \"fmt\"\n\n" +
+		"// Root wraps x.\n//\n//peelvet:deterministic\nfunc Root(x int) error { return fmt.Errorf(\"x = %d\", x) }\n"
+	cfgPath, _ := writeUnit(t, src, false)
+	run := func(standard bool) (int, string) {
+		rewriteUnit(t, cfgPath, func(cfg *vetConfig) {
+			cfg.ImportMap = map[string]string{"fmt": "fmt"}
+			cfg.PackageFile = map[string]string{"fmt": export}
+			cfg.PackageVetx = map[string]string{"fmt": fmtVetx}
+			cfg.Standard = map[string]bool{"fmt": standard}
+		})
+		var stderr bytes.Buffer
+		code := RunUnitchecker(cfgPath, Analyzers(), &stderr)
+		return code, stderr.String()
+	}
+	if code, stderr := run(true); code != ExitClean {
+		t.Fatalf("fmt marked standard: exit = %d, want %d\nstderr: %s", code, ExitClean, stderr)
+	}
+	if code, stderr := run(false); code != ExitFindings || !strings.Contains(stderr, "detflow") {
+		t.Fatalf("fmt not marked standard: exit = %d, want %d with a detflow finding\nstderr: %s", code, ExitFindings, stderr)
 	}
 }

@@ -20,6 +20,101 @@ type keyVertex struct {
 // Bloomier builders, when the key set holds some key more than once.
 var ErrDuplicateKeys = errors.New("duplicate keys")
 
+// KeyPeel is the peel PeelKeys returns, in the form the builders'
+// assignment sweeps read it: the subround segments as the scan emitted
+// them, and the process's round accounting.
+//
+// PeelOrder is segment-major like OrderedResult's, and segment t is
+// subround t, but inside a segment the edges are in the order the scan
+// met their releasers among the subround's candidates, not sorted by
+// edge id. That order is still identical at every worker count (see
+// PeelKeys), and OrderedResult's elimination-order contract holds for
+// it unchanged: it never depends on the order inside a segment. A
+// segment-t edge's free vertex is its endpoint at position (t−1) mod 3.
+// Ordered derives the full OrderedResult.
+type KeyPeel struct {
+	// Rounds, Subrounds and SurvivorHistory are as in Result.
+	Rounds          int
+	Subrounds       int
+	SurvivorHistory []int
+
+	// CoreVertices and CoreEdges are the size of the 2-core.
+	CoreVertices int
+	CoreEdges    int
+
+	// PeelOrder lists the peeled edges segment-major, each segment in
+	// scan order.
+	PeelOrder []uint32
+
+	// RoundStart[t] is the end offset of segment t in PeelOrder
+	// (RoundStart[0] == 0); len == Subrounds+1.
+	RoundStart []int
+
+	n int // vertices
+}
+
+// Empty reports whether the peel reached the empty 2-core.
+func (p *KeyPeel) Empty() bool { return p.CoreVertices == 0 && p.CoreEdges == 0 }
+
+// Segments returns the number of segments of PeelOrder, Subrounds.
+func (p *KeyPeel) Segments() int { return len(p.RoundStart) - 1 }
+
+// RoundSegment returns the edges peeled in subround t (1-based), in scan
+// order.
+func (p *KeyPeel) RoundSegment(t int) []uint32 {
+	return p.PeelOrder[p.RoundStart[t-1]:p.RoundStart[t]]
+}
+
+// Ordered derives the full OrderedResult of the peel of edges, the edge
+// list PeelKeys returned with p: each segment sorted by edge id,
+// RoundOf, FreeVertex and the 2-core's EdgeAlive and VertexAlive. The
+// builders do not need it; tests and tools that check the peel do.
+func (p *KeyPeel) Ordered(edges []uint32) *OrderedResult {
+	m := len(edges) / 3
+	res := &OrderedResult{
+		Result: Result{
+			Rounds: p.Rounds, Subrounds: p.Subrounds, SurvivorHistory: p.SurvivorHistory,
+			CoreVertices: p.CoreVertices, CoreEdges: p.CoreEdges,
+			VertexAlive: make([]uint8, p.n), EdgeAlive: make([]uint8, m),
+		},
+		PeelOrder:  slices.Clone(p.PeelOrder),
+		FreeVertex: make([]uint32, m),
+		RoundOf:    make([]int32, m),
+		RoundStart: slices.Clone(p.RoundStart),
+	}
+	for t := 1; t <= res.Segments(); t++ {
+		seg := res.RoundSegment(t)
+		slices.Sort(seg)
+		for _, e := range seg {
+			res.RoundOf[e] = int32(t)
+		}
+	}
+	deg := make([]int32, p.n) // degree in the 2-core
+	for e, t := range res.RoundOf {
+		if t != 0 {
+			res.FreeVertex[e] = edges[3*e+int(t-1)%3]
+			continue
+		}
+		res.EdgeAlive[e] = 1
+		res.FreeVertex[e] = NoVertex
+		for _, v := range edges[3*e : 3*e+3] {
+			deg[v]++
+		}
+	}
+	for v, d := range deg {
+		if d > 1 {
+			res.VertexAlive[v] = 1
+		}
+	}
+	return res
+}
+
+// keyChunk is what one chunk of a PeelKeys subround scan found: the
+// releases it wrote and the candidates it peeled.
+type keyChunk struct {
+	freed, peeled int
+}
+
 // PeelKeys is one attempt of the hash-and-peel builders (internal/mphf,
 // internal/bloomier): on pool, key i becomes edge i = hash(keys[i]) of a
 // 3-partite hypergraph whose part j holds the subSize vertices
@@ -35,22 +130,26 @@ var ErrDuplicateKeys = errors.New("duplicate keys")
 // 1 and subtracts it from the edge's two other endpoints. Those lie in
 // other parts, so part-j state is written only in other parts'
 // subrounds: subround j's peel set is fixed at its barrier, and every
-// edge has a unique releaser, its part-j endpoint. The result is
-// therefore identical at every worker count with no claim pass. Nor does
-// it need atomics: the scan zeroes each releasing vertex's degree,
-// records the edge's subround and logs the edge in its worker's log, and
-// then one owner per other part subtracts every logged edge from its
-// endpoint there (the kernel's owner pass), with plain writes. The scan
-// stores no free vertex: an edge freed in subround t was released by its
-// endpoint in part (t−1) mod 3, so FreeVertex is read off RoundOf and
-// the edge list after the peel.
+// edge has a unique releaser, its part-j endpoint. Nor does the peel
+// need atomics. The scan zeroes each releasing vertex's degree and
+// writes the edge into the peel order, at the offset of the candidate
+// chunk that released it; after the barrier the chunks' releases are
+// packed in chunk order, so the subround's segment is its releases in
+// candidate order, and its end offset is recorded. Then one owner per
+// other part walks the segment and subtracts every edge from its
+// endpoint there (the kernel's owner pass), with plain writes, and
+// enlists the endpoints it leaves at degree 1 in the order it meets
+// them. Each part's next candidate list is thus a deterministic
+// function of the segments before it, and by induction the segments,
+// rounds and core are identical at every worker count.
 //
 // Equal keys hash to identical edges, whose vertices keep degree ≥ 2, so
 // every duplicated key survives into the core under any seed: PeelKeys
 // checks only a non-empty core's keys and returns an error wrapping
 // ErrDuplicateKeys if two are equal. A non-empty core with a nil error
-// means the keys are distinct.
-func PeelKeys(ctx context.Context, keys []uint64, subSize int, hash func(x uint64) [3]uint32, pool *parallel.Pool) ([]uint32, *OrderedResult, error) {
+// means the keys are distinct. The core is counted only when it is
+// non-empty; a successful peel touches no per-edge state but the order.
+func PeelKeys(ctx context.Context, keys []uint64, subSize int, hash func(x uint64) [3]uint32, pool *parallel.Pool) ([]uint32, *KeyPeel, error) {
 	kern, err := NewKernel(ctx, Options{Pool: pool}, 3, subSize)
 	if err != nil {
 		return nil, nil, err
@@ -77,18 +176,23 @@ func PeelKeys(ctx context.Context, keys []uint64, subSize int, hash func(x uint6
 		return nil, nil, err
 	}
 
-	ord := &OrderedResult{
-		FreeVertex: make([]uint32, m),
-		RoundOf:    make([]int32, m),
-	}
-	peeled := pool.NewCounter()
-	freed := make([][]uint32, pool.Workers())
+	// A part lists each candidate at most once, so a subround's scan
+	// writes below order[end+subSize], end being the order's length
+	// before it.
+	order := make([]uint32, m+subSize)
+	end := 0
+	ends := []int{0}
+	chunks := make([]keyChunk, (subSize+grain-1)/grain)
 	err = kern.RunCtx(ctx, nil, func(cands []uint32) int {
 		j := int(cands[0]) / subSize
-		sub := int32(3*(kern.Round()-1) + j + 1)
-		peeled.Reset()
-		pool.For(len(cands), grain, func(w, lo, hi int) {
-			p := 0
+		sub := 3*(kern.Round()-1) + j + 1
+		for len(ends) < sub {
+			ends = append(ends, end) // an earlier subround had no candidates
+		}
+		out := order[end : end+len(cands)]
+		pool.For(len(cands), grain, func(_, lo, hi int) {
+			freed, peeled := 0, 0
+			dst := out[lo:hi]
 			for _, v := range cands[lo:hi] {
 				if vs[v].cnt > 1 {
 					continue
@@ -96,63 +200,62 @@ func PeelKeys(ctx context.Context, keys []uint64, subSize int, hash func(x uint6
 				// A candidate of degree ≤ 1 peels now and is counted
 				// once: degrees only fall, and a vertex is listed again
 				// only when its degree falls to 1.
-				p++
+				peeled++
 				if vs[v].cnt == 0 {
 					continue
 				}
-				e := vs[v].sum
+				dst[freed] = vs[v].sum
 				vs[v].cnt = 0
-				ord.RoundOf[e] = sub
-				freed[w] = append(freed[w], e)
+				freed++
 			}
-			peeled.Add(w, int64(p))
+			chunks[lo/grain] = keyChunk{freed, peeled}
 		})
+		seg, peeled := end, 0
+		for c, lo := 0, 0; lo < len(cands); c, lo = c+1, lo+grain {
+			end += copy(order[end:], out[lo:lo+chunks[c].freed])
+			peeled += chunks[c].peeled
+		}
+		freed := order[seg:end]
 		kern.ForOtherParts(j, func(w, p int) {
-			for _, log := range freed {
-				for _, e := range log {
-					u := edges[3*int(e)+p]
-					vs[u].sum -= e
-					if vs[u].cnt--; vs[u].cnt == 1 {
-						kern.Enlist(w, u)
-					}
+			for _, e := range freed {
+				u := edges[3*int(e)+p]
+				vs[u].sum -= e
+				if vs[u].cnt--; vs[u].cnt == 1 {
+					kern.Enlist(w, u)
 				}
 			}
 		})
-		for w := range freed {
-			freed[w] = freed[w][:0]
-		}
-		return int(peeled.Sum())
+		ends = append(ends, end)
+		return peeled
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	ord.Rounds, ord.Subrounds = kern.Rounds, kern.Subrounds
-	ord.SurvivorHistory = survivors(n, kern.Peeled)
-	ord.PeelOrder, ord.RoundStart = segmentOrder(ord.RoundOf, kern.Subrounds)
-	ord.VertexAlive = make([]uint8, n)
-	for v := range vs {
-		if vs[v].cnt > 1 {
-			ord.VertexAlive[v] = 1
-			ord.CoreVertices++
-		}
+	peel := &KeyPeel{
+		Rounds:          kern.Rounds,
+		Subrounds:       kern.Subrounds,
+		SurvivorHistory: survivors(n, kern.Peeled),
+		CoreEdges:       m - end,
+		PeelOrder:       order[:end],
+		RoundStart:      ends[:kern.Subrounds+1],
+		n:               n,
 	}
-	ord.EdgeAlive = make([]uint8, m)
-	for e, t := range ord.RoundOf {
-		if t == 0 {
-			ord.EdgeAlive[e] = 1
-			ord.FreeVertex[e] = NoVertex
-			ord.CoreEdges++
-		} else {
-			ord.FreeVertex[e] = edges[3*e+int(t-1)%3]
-		}
-	}
-	if ord.Empty() {
-		return edges, ord, nil
+	if peel.CoreEdges == 0 {
+		return edges, peel, nil
 	}
 
-	left := make([]uint64, 0, ord.CoreEdges)
-	for e, alive := range ord.EdgeAlive {
-		if alive != 0 {
+	for v := range vs {
+		if vs[v].cnt > 1 {
+			peel.CoreVertices++
+		}
+	}
+	done := make([]bool, m)
+	for _, e := range peel.PeelOrder {
+		done[e] = true
+	}
+	left := make([]uint64, 0, peel.CoreEdges)
+	for e, d := range done {
+		if !d {
 			left = append(left, keys[e])
 		}
 	}
@@ -162,5 +265,5 @@ func PeelKeys(ctx context.Context, keys []uint64, subSize int, hash func(x uint6
 			return nil, nil, fmt.Errorf("%w: %#x appears more than once", ErrDuplicateKeys, left[i])
 		}
 	}
-	return edges, ord, nil
+	return edges, peel, nil
 }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"reflect"
@@ -28,28 +30,33 @@ func keyInstance(m int, gamma float64, seed uint64) (keys []uint64, subSize int,
 }
 
 // peelKeys runs PeelKeys on a fresh pool of the given size and also
-// returns the CSR graph of its edge list, for the index-based oracles.
-func peelKeys(t *testing.T, keys []uint64, subSize int, hash func(uint64) [3]uint32, workers int) (*hypergraph.Hypergraph, *OrderedResult) {
+// returns the CSR graph of its edge list, for the index-based oracles,
+// and the OrderedResult derived from the peel.
+func peelKeys(t *testing.T, keys []uint64, subSize int, hash func(uint64) [3]uint32, workers int) (*hypergraph.Hypergraph, *KeyPeel, *OrderedResult) {
 	t.Helper()
 	pool := parallel.NewPool(workers)
 	defer pool.Close()
-	edges, ord, err := PeelKeys(context.Background(), keys, subSize, hash, pool)
+	edges, peel, err := PeelKeys(context.Background(), keys, subSize, hash, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return hypergraph.FromEdges(3*subSize, 3, edges, subSize), ord
+	return hypergraph.FromEdges(3*subSize, 3, edges, subSize), peel, peel.Ordered(edges)
 }
 
 // TestPeelKeysDeterministic is the bit-stability contract of the
-// builders' peel: identical FreeVertex, RoundOf, PeelOrder and
-// RoundStart at pools 1/2/3/8, on five seeds, with no claim pass.
+// builders' peel: the scan-order segments, and the FreeVertex, RoundOf,
+// sorted PeelOrder and RoundStart derived from them, are identical at
+// pools 1/2/3/8, on five seeds, with no claim pass.
 func TestPeelKeysDeterministic(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {
 		keys, subSize, hash := keyInstance(1<<14, 1.23, seed)
-		_, ref := peelKeys(t, keys, subSize, hash, 1)
+		_, refPeel, ref := peelKeys(t, keys, subSize, hash, 1)
 		for _, workers := range []int{2, 3, 8} {
-			_, got := peelKeys(t, keys, subSize, hash, workers)
+			_, peel, got := peelKeys(t, keys, subSize, hash, workers)
 			name := fmt.Sprintf("seed %d, %d workers", seed, workers)
+			if !reflect.DeepEqual(peel.PeelOrder, refPeel.PeelOrder) || !reflect.DeepEqual(peel.RoundStart, refPeel.RoundStart) {
+				t.Fatalf("%s: scan-order segments diverged", name)
+			}
 			if !reflect.DeepEqual(got.FreeVertex, ref.FreeVertex) {
 				t.Fatalf("%s: FreeVertex diverged", name)
 			}
@@ -66,6 +73,57 @@ func TestPeelKeysDeterministic(t *testing.T) {
 	}
 }
 
+// pinHash returns the first 8 bytes, in hex, of the SHA-256 of the
+// little-endian encoding of s.
+func pinHash(s any) string {
+	h := sha256.New()
+	if err := binary.Write(h, binary.LittleEndian, s); err != nil {
+		panic(err)
+	}
+	return fmt.Sprintf("%x", h.Sum(nil)[:8])
+}
+
+// keyPeelPins hold pinHash of the OrderedResult fields that PeelKeys
+// returned while it tagged RoundOf in the scan and rebuilt PeelOrder
+// with a counting sort; they were equal at pools 1/2/3/8. γ = 1.1 leaves
+// a 2-core, so the core fields are pinned too. RoundStart is hashed as
+// int64s.
+var keyPeelPins = []struct {
+	seed                               uint64
+	gamma                              float64
+	freeVertex, roundOf, order, starts string
+	edgeAlive, vertexAlive             string
+}{
+	{1, 1.23, "312f289b48b7707a", "bc17b5092ea05381", "2b97e2e98a558c96", "7a3f85189a3979a5", "4fe7b59af6de3b66", "e5b942bbd2003a16"},
+	{1, 1.1, "f65ffc4f67d26f1c", "08f5ceecf92278d4", "f344bf3c2474ba3c", "e7155748b7f5fd78", "031d6c481c1974b5", "8c03a62e18595737"},
+	{2, 1.23, "5b0a1c78579172fb", "9317b306e4b48169", "6177cdfee3ab98d9", "eb0a6a1afbdc7bda", "4fe7b59af6de3b66", "e5b942bbd2003a16"},
+	{2, 1.1, "ba27dc9960847cc3", "a686340ac3dab6fd", "2eb6e448775638df", "bb7e70a8479fa626", "a1052a6e21018a8d", "635a1e7cc50db29b"},
+	{3, 1.23, "50ffa67e8ae02876", "a57e0d6fddad79a7", "deec1282d7b1290b", "2dc0d23d0bd59e89", "4fe7b59af6de3b66", "e5b942bbd2003a16"},
+	{3, 1.1, "b642bb00b71e1e61", "57bd6a3b2180bb18", "19682e6c8098c105", "1c6807e3a9006b3f", "fa905cdb3c5ff19a", "16013d39d911dd42"},
+}
+
+// TestPeelKeysOrderedPinned checks that the OrderedResult derived from
+// the scan-order segments is bit-identical to the one the peel produced
+// directly before, at pools 1/2/3/8.
+func TestPeelKeysOrderedPinned(t *testing.T) {
+	for _, pin := range keyPeelPins {
+		keys, subSize, hash := keyInstance(1<<14, pin.gamma, pin.seed)
+		for _, workers := range []int{1, 2, 3, 8} {
+			_, _, ord := peelKeys(t, keys, subSize, hash, workers)
+			starts := make([]int64, len(ord.RoundStart))
+			for i, s := range ord.RoundStart {
+				starts[i] = int64(s)
+			}
+			got := [...]string{pinHash(ord.FreeVertex), pinHash(ord.RoundOf), pinHash(ord.PeelOrder),
+				pinHash(starts), pinHash(ord.EdgeAlive), pinHash(ord.VertexAlive)}
+			want := [...]string{pin.freeVertex, pin.roundOf, pin.order, pin.starts, pin.edgeAlive, pin.vertexAlive}
+			if got != want {
+				t.Errorf("seed %d, γ=%v, %d workers: hashes %v, want %v", pin.seed, pin.gamma, workers, got, want)
+			}
+		}
+	}
+}
+
 // TestPeelKeysMatchesSubtables checks the index-free peel runs the
 // Appendix B process itself: the same rounds, subrounds, survivor
 // history and core as Subtables on the CSR graph of its edges, with
@@ -74,7 +132,7 @@ func TestPeelKeysDeterministic(t *testing.T) {
 func TestPeelKeysMatchesSubtables(t *testing.T) {
 	for _, gamma := range []float64{1.1, 1.23, 1.5} {
 		keys, subSize, hash := keyInstance(30000, gamma, 7)
-		g, ord := peelKeys(t, keys, subSize, hash, 3)
+		g, _, ord := peelKeys(t, keys, subSize, hash, 3)
 		want := Subtables(g, 2, Options{})
 		if ord.Rounds != want.Rounds || ord.Subrounds != want.Subrounds ||
 			!reflect.DeepEqual(ord.SurvivorHistory, want.SurvivorHistory) {
@@ -101,7 +159,7 @@ func TestPeelKeysCoreMatchesSequential(t *testing.T) {
 	for seed := uint64(11); seed <= 13; seed++ {
 		keys, subSize, hash := keyInstance(1<<15, 1.1, seed)
 		for _, workers := range []int{1, 3} {
-			g, ord := peelKeys(t, keys, subSize, hash, workers)
+			g, _, ord := peelKeys(t, keys, subSize, hash, workers)
 			seq := Sequential(g, 2)
 			if seq.CoreEdges == 0 {
 				t.Fatalf("seed %d: empty 2-core at γ = 1.1", seed)
@@ -141,7 +199,7 @@ func TestPeelKeysCancels(t *testing.T) {
 	keys, subSize, hash := keyInstance(20000, 1.23, 5)
 	pool := parallel.NewPool(2)
 	defer pool.Close()
-	run := func(ctx context.Context) (*OrderedResult, error) {
+	run := func(ctx context.Context) (*KeyPeel, error) {
 		_, ord, err := PeelKeys(ctx, keys, subSize, hash, pool)
 		return ord, err
 	}

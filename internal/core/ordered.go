@@ -19,8 +19,9 @@ import (
 //     3-partite graph; its segments are subrounds. Subround j frees an
 //     edge only through the edge's one part-j endpoint, so every edge
 //     has a unique releaser, and a segment-t edge's free vertex is its
-//     endpoint at position (t−1) mod 3. PeelKeys derives FreeVertex
-//     from RoundOf that way after the peel.
+//     endpoint at position (t−1) mod 3. The builders read PeelKeys's
+//     KeyPeel, whose segments are in scan order; KeyPeel.Ordered
+//     derives this OrderedResult from it.
 //   - ParallelOrder peels any hypergraph in plain rounds; its segments
 //     are rounds. Several endpoints of an edge can peel in one round,
 //     and the minimum vertex id frees it.
@@ -211,8 +212,8 @@ func ParallelOrderCtx(ctx context.Context, g *hypergraph.Hypergraph, k int, opts
 // of every segment (start[0] == 0). It is a counting sort over the tags:
 // start is the prefix sum of the per-segment histogram, and scattering
 // edges in ascending id order leaves every segment already sorted, so
-// the peels need no per-segment sort and no order shards in their round
-// loops.
+// ParallelOrder needs no per-segment sort and no order shards in its
+// round loop.
 func segmentOrder(tags []int32, segments int) (order []uint32, start []int) {
 	start = make([]int, segments+1)
 	for _, t := range tags {

@@ -42,10 +42,12 @@ const grain = 2048
 // Such a subround peel needs no atomic read-modify-write at all. Its
 // action runs in two phases. The scan, over part j's candidates, writes
 // only the part-j item each worker releases (every edge has one, its
-// unique releaser) and appends the release to that worker's log. The
-// owner pass, ForOtherParts, runs after the scan's barrier: one worker
-// per other part walks every log and applies the releases to its part
-// with plain writes, enlisting what they made peelable. Part j′ is read
+// unique releaser) and logs the release: in its worker's log (the
+// decoders), or at its candidate chunk's offset of one log that is
+// packed in chunk order at the barrier (PeelKeys). The owner pass,
+// ForOtherParts, runs after the scan's barrier: one worker per other
+// part walks the logs and applies the releases to its part with plain
+// writes, enlisting what they made peelable. Part j′ is read
 // by nobody before subround j′, so the deferred writes change no peel
 // set. An owner enlists only its own part's items, so Enlist sets their
 // pending marks with plain writes too; it keeps its compare-and-swap

@@ -271,7 +271,8 @@ func (c *Code) DecodeCtx(ctx context.Context, data []uint64, present []bool, che
 // symbol, zeroes the cell and logs the symbol's index in its worker's
 // log. The owner pass then gives each other subtable p one worker,
 // which subtracts every logged symbol from its subtable-p cell and
-// enlists that cell. Work is proportional to cells + peeling work, like
+// enlists the cell if its count is now 1, the only count a recoverable
+// cell has. Work is proportional to cells + peeling work, like
 // the serial peel, and the round structure matches the paper's analysis
 // (O(log log n) rounds below threshold).
 func (c *Code) decodeRounds(ctx context.Context, work []Cell, data []uint64, present []bool, missing int, pool *parallel.Pool) error {
@@ -302,7 +303,9 @@ func (c *Code) decodeRounds(ctx context.Context, work []Cell, data []uint64, pre
 					work[q].IdxSum ^= uint64(i + 1)
 					work[q].ValueSum ^= data[i]
 					work[q].CheckSum ^= c.checksum(i)
-					kern.Enlist(w, uint32(q))
+					if work[q].Count == 1 {
+						kern.Enlist(w, uint32(q))
+					}
 				}
 			}
 		})

@@ -92,17 +92,18 @@ func (s *recoveryShards) drainInto(res *ParallelResult) int {
 // cell in place (it held exactly its key) and logs the key in its
 // worker's recovery shard. The owner pass then gives each other
 // subtable p one worker, which deletes every logged key from its
-// subtable-p cell and enlists that cell; the shards then drain into the
-// result.
+// subtable-p cell and enlists the cell if its count is now ±1; the
+// shards then drain into the result.
 //
 // A valid table releases each cell at most once, so, like Decode, the
 // decoder stops once it has recovered Cells() keys: a crafted table can
 // recover one key over and over.
 //
 // scan only changes the work profile: Frontier enlists every cell a
-// deletion can make pure, so the recovered sets, completeness and round
-// and subround counts are identical under both policies and at every
-// pool size.
+// deletion leaves at count ±1, and a cell can only turn pure through a
+// deletion that leaves it there, so the recovered sets, completeness and
+// round and subround counts are identical under both policies and at
+// every pool size.
 //
 // All working state is owned by the call, so many decodes may run
 // concurrently on one shared pool (e.g. as parallel.Group jobs). On
@@ -139,10 +140,14 @@ func (t *Table) decodeCtx(ctx context.Context, scan core.ScanPolicy, pool *paral
 		kern.ForOtherParts(int(cells[0])/t.subSize, func(w, p int) {
 			for s := range shards.added {
 				for _, x := range shards.added[s] {
-					kern.Enlist(w, uint32(t.remove(x, 1, p)))
+					if c, unit := t.remove(x, 1, p); unit {
+						kern.Enlist(w, uint32(c))
+					}
 				}
 				for _, x := range shards.removed[s] {
-					kern.Enlist(w, uint32(t.remove(x, -1, p)))
+					if c, unit := t.remove(x, -1, p); unit {
+						kern.Enlist(w, uint32(c))
+					}
 				}
 			}
 		})
@@ -157,11 +162,12 @@ func (t *Table) decodeCtx(ctx context.Context, scan core.ScanPolicy, pool *paral
 }
 
 // remove deletes key x, recovered with sign, from its subtable-p cell,
-// and returns that cell.
-func (t *Table) remove(x uint64, sign int64, p int) int {
+// and returns that cell and whether its count is now ±1, the only
+// counts a pure cell has.
+func (t *Table) remove(x uint64, sign int64, p int) (int, bool) {
 	c := t.cellIndex(x, p)
 	t.count[c] -= sign
 	t.keySum[c] ^= x
 	t.checkSum[c] ^= t.checksum(x)
-	return c
+	return c, t.count[c] == 1 || t.count[c] == -1
 }

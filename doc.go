@@ -61,11 +61,10 @@
 // argument: every edge meets subtable j in exactly one item, its unique
 // releaser, so subround j writes no subtable-j state but its
 // releasers' own, needs no claims or atomic reads, and peels the same
-// set at every worker count. The key peel, IBLT decode and erasure
-// recovery need no atomic writes either: each subround's scan logs its
-// releases, and then one owner per other subtable applies them with
-// plain writes, enlisting its own subtable's items without an atomic
-// either. An erasure code's check cells therefore form r
+// set at every worker count. Nor do they need atomic writes: each
+// subround's scan logs its releases, and then one owner per other
+// subtable applies them with plain writes, enlisting its own
+// subtable's items without an atomic either. An erasure code's check cells therefore form r
 // subtables of ⌊cells/r⌋ cells; the cells mod r tail cells are never
 // written, and NewErasureCode panics when cells < r. The kernel runs on
 // the Runtime's pool (internal/parallel.Pool): workers stay alive

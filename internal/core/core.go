@@ -6,10 +6,15 @@
 //     downstream applications (IBLT, MPHF, XORSAT, cuckoo) consume.
 //   - Parallel: the round-synchronous process of Sections 3-4 — every
 //     round removes *all* vertices of degree < k simultaneously — run
-//     across goroutines with atomic edge claiming.
+//     across goroutines, with an atomic claim per edge because several
+//     endpoints of an edge can peel in one round. ParallelOrder labels
+//     that peel's edges with the round that freed them and the smallest
+//     endpoint peeled in it, which gives a deterministic peel order and
+//     orientation with no claim pass.
 //   - Subtables: the Appendix B variant used by the paper's GPU IBLT
 //     implementation — each round consists of r subrounds, subround j
-//     peeling only subtable j, which guarantees no item is peeled twice.
+//     peeling only subtable j, which guarantees no item is peeled twice,
+//     so it runs with plain writes only.
 //     PeelKeys runs the same process for the MPHF and Bloomier builders
 //     on a per-vertex degree and edge-id sum, with no incidence index.
 //

@@ -1,11 +1,15 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/hypergraph"
+	"repro/internal/parallel"
 	"repro/internal/recurrence"
 	"repro/internal/rng"
 )
@@ -95,6 +99,102 @@ func TestSequentialOrientationHigherK(t *testing.T) {
 	for v, c := range count {
 		if c > k-1 {
 			t.Fatalf("vertex %d freed %d edges, max k-1 = %d", v, c, k-1)
+		}
+	}
+}
+
+// TestEnginesAgreeOnCore is the k-core uniqueness oracle: peeling is
+// confluent, so every engine leaves Sequential's core, on partitioned
+// instances below and above the threshold, at pools 1/2/3/8 under both
+// scan policies. The plain-round peels (Parallel, ParallelOrder) agree
+// on one round count and survivor history, and so do the Appendix B
+// peels (Subtables, and PeelKeys on the r = 3, k = 2 instances, whose
+// key i hashes to edge i). The orderings pass ValidateEliminationOrder
+// at k = 2, and PeelKeys has one segment per subround.
+func TestEnginesAgreeOnCore(t *testing.T) {
+	for i, cfg := range []struct {
+		n, r, k int
+		c       float64
+		above   bool
+	}{
+		{24000, 3, 2, 0.75, false},
+		{24000, 3, 2, 0.9, true},
+		{24000, 4, 2, 0.7, false},
+		{24000, 4, 2, 0.85, true},
+		{24000, 3, 3, 1.4, false},
+		{24000, 3, 3, 1.7, true},
+		{12000, 2, 3, 1.4, false}, // graph case r=2, k=3
+		{12000, 2, 3, 1.9, true},
+	} {
+		g := partitionedGraph(cfg.n, int(cfg.c*float64(cfg.n)), cfg.r, uint64(40+i))
+		seq := Sequential(g, cfg.k)
+		if seq.Empty() == cfg.above {
+			t.Fatalf("cfg %+v: Sequential core (%d, %d) on the wrong side of the threshold", cfg, seq.CoreVertices, seq.CoreEdges)
+		}
+		if err := CoreDegreesValid(g, &seq.Result, cfg.k); err != nil {
+			t.Fatalf("cfg %+v: Sequential: %v", cfg, err)
+		}
+		var plain, sub *Result // the first plain-round and Appendix B results
+		check := func(name string, res *Result, ref **Result) {
+			t.Helper()
+			name = fmt.Sprintf("cfg %+v: %s", cfg, name)
+			if res.CoreVertices != seq.CoreVertices || res.CoreEdges != seq.CoreEdges ||
+				!reflect.DeepEqual(res.VertexAlive, seq.VertexAlive) || !reflect.DeepEqual(res.EdgeAlive, seq.EdgeAlive) {
+				t.Fatalf("%s: core (%d, %d) differs from Sequential's (%d, %d)", name,
+					res.CoreVertices, res.CoreEdges, seq.CoreVertices, seq.CoreEdges)
+			}
+			if err := CoreDegreesValid(g, res, cfg.k); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if *ref == nil {
+				*ref = res
+			}
+			if res.Rounds != (*ref).Rounds || res.Subrounds != (*ref).Subrounds ||
+				!reflect.DeepEqual(res.SurvivorHistory, (*ref).SurvivorHistory) {
+				t.Fatalf("%s: rounds/subrounds %d/%d, want %d/%d (history equal: %v)", name,
+					res.Rounds, res.Subrounds, (*ref).Rounds, (*ref).Subrounds,
+					reflect.DeepEqual(res.SurvivorHistory, (*ref).SurvivorHistory))
+			}
+		}
+		validate := func(name string, ord *OrderedResult) {
+			t.Helper()
+			if cfg.k != 2 {
+				return // the elimination property is a theorem only at k = 2
+			}
+			if err := ValidateEliminationOrder(g, ord, 2); err != nil {
+				t.Fatalf("cfg %+v: %s: %v", cfg, name, err)
+			}
+		}
+		for _, workers := range []int{1, 2, 3, 8} {
+			pool := parallel.NewPool(workers)
+			for _, scan := range []ScanPolicy{Frontier, FullScan} {
+				opts := Options{Scan: scan, Pool: pool}
+				at := fmt.Sprintf("%d workers, scan %d", workers, scan)
+				check("Parallel, "+at, Parallel(g, cfg.k, opts), &plain)
+				ord := ParallelOrder(g, cfg.k, opts)
+				check("ParallelOrder, "+at, &ord.Result, &plain)
+				validate("ParallelOrder, "+at, ord)
+				check("Subtables, "+at, Subtables(g, cfg.k, opts), &sub)
+			}
+			if cfg.r == 3 && cfg.k == 2 {
+				keys := make([]uint64, g.M)
+				for e := range keys {
+					keys[e] = uint64(e)
+				}
+				hash := func(x uint64) [3]uint32 { return [3]uint32(g.EdgeVertices(int(x))) }
+				edges, peel, err := PeelKeys(context.Background(), keys, g.SubtableSize, hash, pool)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ord := peel.Ordered(edges)
+				at := fmt.Sprintf("PeelKeys, %d workers", workers)
+				check(at, &ord.Result, &sub)
+				if ord.Segments() != ord.Subrounds {
+					t.Fatalf("cfg %+v: %s: %d segments, want one per subround (%d)", cfg, at, ord.Segments(), ord.Subrounds)
+				}
+				validate(at, ord)
+			}
+			pool.Close()
 		}
 	}
 }

@@ -44,64 +44,3 @@ func BenchmarkOrderedPeel(b *testing.B) {
 		pool.Close()
 	}
 }
-
-// BenchmarkPhaseAFilter isolates the round-loop's Phase A — filtering
-// the frontier into the peel set — in its serial pre-refactor form
-// against the sharded parallel form of the round kernel's select pass. The
-// small size models the O(log log n) tail rounds: at n ≤ grain the
-// pooled filter runs inline on the submitter, so the tail pays no
-// dispatch and must show no regression.
-func BenchmarkPhaseAFilter(b *testing.B) {
-	workers := parallel.Workers()
-	if workers < 2 {
-		workers = 4
-	}
-	p := parallel.NewPool(workers)
-	defer p.Close()
-	const grain = 2048
-	for _, n := range []int{256, 1 << 16} {
-		frontier := make([]uint32, n)
-		deg := make([]int32, n)
-		for i := range frontier {
-			frontier[i] = uint32(i)
-			deg[i] = int32(i % 3) // ~1/3 below k, like a peel round
-		}
-		b.Run(fmt.Sprintf("Serial/n=%d", n), func(b *testing.B) {
-			vdead := make([]uint8, n)
-			peelSet := make([]uint32, 0, n)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				clear(vdead)
-				peelSet = peelSet[:0]
-				for _, v := range frontier {
-					if vdead[v] == 0 && deg[v] < 1 {
-						vdead[v] = 1
-						peelSet = append(peelSet, v)
-					}
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("Sharded/n=%d", n), func(b *testing.B) {
-			vdead := make([]uint8, n)
-			shards := make([][]uint32, p.Workers())
-			peelSet := make([]uint32, 0, n)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				clear(vdead)
-				peelSet = peelSet[:0]
-				p.For(len(frontier), grain, func(w, lo, hi int) {
-					local := shards[w]
-					for j := lo; j < hi; j++ {
-						v := frontier[j]
-						if vdead[v] == 0 && deg[v] < 1 {
-							vdead[v] = 1
-							local = append(local, v)
-						}
-					}
-					shards[w] = local
-				})
-				peelSet = drain(peelSet, shards)
-			}
-		})
-	}
-}

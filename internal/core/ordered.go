@@ -3,8 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"slices"
-	"sync/atomic"
 
 	"repro/internal/hypergraph"
 )
@@ -80,20 +78,17 @@ func (r *OrderedResult) RoundSegment(t int) []uint32 {
 // builders, whose graphs are 3-partite, use PeelKeys instead. See
 // OrderedResult for the determinism and elimination-order contracts.
 //
-// It runs on the round kernel with Parallel's select pass; only the
-// peel differs, as two sub-phases per round. First every peel-set vertex
-// claims its live edges with an atomic min on the FreeVertex slot, so
-// when several endpoints of an edge peel in the same round the minimum
-// vertex id wins regardless of scheduling — the step that makes the
-// orientation deterministic where Parallel's first-come bitset claim is
-// not. Then each edge's unique winner settles it: marks it dead, tags
-// its round, and decrements the other endpoints' degrees. (Rounds that
-// would run inline anyway — 1-worker pools and grain-sized tail rounds —
-// use a merged single pass instead; see the peel action.) PeelOrder is
-// reconstructed after the last round with a counting sort over the
-// round tags (segmentOrder). The claim pass costs one more traversal of
-// the peel set per round than Parallel; the Result fields (rounds,
-// history, core) are identical to Parallel's.
+// It is a round labelling of Parallel's peel, which it runs unchanged
+// but for one plain write per peeled vertex: the round in which the
+// vertex peeled (the vertices of a peel set are distinct). In the
+// paper's round process an edge dies in the round its first endpoint
+// peels, and every endpoint peeling in that round had been selected
+// before any removal; the smallest of them frees it, a scheduling-
+// independent choice. So after the peel one parallel pass over the
+// edges sets RoundOf[e] to the least nonzero round among e's endpoints
+// and FreeVertex[e] to the smallest endpoint peeled in that round, and
+// a counting sort over the round tags (segmentOrder) builds PeelOrder.
+// The Result fields (rounds, history, core) are Parallel's.
 func ParallelOrder(g *hypergraph.Hypergraph, k int, opts Options) *OrderedResult {
 	res, _ := ParallelOrderCtx(context.Background(), g, k, opts)
 	return res
@@ -106,104 +101,29 @@ func ParallelOrder(g *hypergraph.Hypergraph, k int, opts Options) *OrderedResult
 //
 //peelvet:deterministic
 func ParallelOrderCtx(ctx context.Context, g *hypergraph.Hypergraph, k int, opts Options) (*OrderedResult, error) {
-	kern, err := NewKernel(ctx, opts, 1, g.N)
+	peel, vround, err := peelRounds(ctx, g, k, opts, true)
 	if err != nil {
 		return nil, err
 	}
-	s := newCoreState(g, k)
-	pool := kern.Pool()
-
 	res := &OrderedResult{
+		Result:     *peel,
 		FreeVertex: make([]uint32, g.M),
 		RoundOf:    make([]int32, g.M),
 	}
-	for e := range res.FreeVertex {
-		res.FreeVertex[e] = NoVertex
-	}
-	claim := res.FreeVertex // the claim array IS the orientation
-
-	err = kern.RunCtx(ctx, s.pick, func(peelSet []uint32) int {
-		round := int32(kern.Round())
-		// The peel removes the peel set under the minimum-endpoint claim
-		// rule: when several endpoints of an edge peel in the same round,
-		// the smallest vertex id frees it — a scheduling-independent
-		// tie-break, so the orientation is identical at every worker
-		// count. Two executions implement the same rule:
-		//
-		//   - inline (1-worker pool, or a peel set that fits one grain —
-		//     i.e. serial peels and the small-frontier tail rounds, where
-		//     pool.For would run on the calling goroutine anyway): one
-		//     merged pass over the peel set sorted ascending. First-come
-		//     claiming in ascending vertex order IS the minimum rule — every peeling endpoint of an edge
-		//     attempts it, and the smallest attempts first — and a
-		//     single goroutine needs no atomics and no second pass.
-		//
-		//   - parallel: two sub-phases with a barrier between. B1 bids
-		//     for every live incident edge with an atomic min; B2 lets
-		//     each edge's unique winner settle it (the edead mark and
-		//     round tag are single-writer; only degree decrements and
-		//     enlisting stay atomic). Dead edges keep the orientation of
-		//     the round that freed them — B1 skips them, and their claims
-		//     can never equal a this-round vertex in B2. A vertex listed
-		//     twice in one edge settles it once (the edead re-check).
-		if pool.Workers() == 1 || len(peelSet) <= grain {
-			slices.Sort(peelSet)
-			for _, v := range peelSet {
-				for _, e := range g.VertexEdges(int(v)) {
-					if s.edead[e] != 0 {
-						continue
-					}
-					s.edead[e] = 1
-					claim[e] = v
-					res.RoundOf[e] = round
-					for _, u := range g.EdgeVertices(int(e)) {
-						if u == v {
-							continue
-						}
-						s.deg[u]--
-						if s.deg[u] < s.k {
-							kern.Enlist(0, u)
-						}
-					}
+	// Edge e died in the round its first endpoint peeled, and the
+	// smallest endpoint peeled in that round frees it.
+	opts.pool().For(g.M, grain, func(_, lo, hi int) {
+		for e := lo; e < hi; e++ {
+			free, round := NoVertex, int32(0)
+			for _, u := range g.EdgeVertices(e) {
+				if t := vround[u]; t != 0 && (round == 0 || t < round || t == round && u < free) {
+					free, round = u, t
 				}
 			}
-			return len(peelSet)
+			res.FreeVertex[e], res.RoundOf[e] = free, round
 		}
-		pool.For(len(peelSet), grain, func(_, lo, hi int) {
-			for _, v := range peelSet[lo:hi] {
-				for _, e := range g.VertexEdges(int(v)) {
-					if s.edead[e] == 0 {
-						claimMin(&claim[e], v)
-					}
-				}
-			}
-		})
-		pool.For(len(peelSet), grain, func(w, lo, hi int) {
-			for _, v := range peelSet[lo:hi] {
-				for _, e := range g.VertexEdges(int(v)) {
-					if claim[e] != v || s.edead[e] != 0 {
-						continue
-					}
-					s.edead[e] = 1
-					res.RoundOf[e] = round
-					for _, u := range g.EdgeVertices(int(e)) {
-						if u != v && atomic.AddInt32(&s.deg[u], -1) < s.k {
-							kern.Enlist(w, u)
-						}
-					}
-				}
-			}
-		})
-		return len(peelSet)
 	})
-	if err != nil {
-		return nil, err
-	}
-	res.Rounds = kern.Rounds
-	res.SurvivorHistory = survivors(g.N, kern.Peeled)
-
 	res.PeelOrder, res.RoundStart = segmentOrder(res.RoundOf, res.Rounds)
-	s.finish(&res.Result)
 	return res, nil
 }
 
@@ -212,8 +132,7 @@ func ParallelOrderCtx(ctx context.Context, g *hypergraph.Hypergraph, k int, opts
 // of every segment (start[0] == 0). It is a counting sort over the tags:
 // start is the prefix sum of the per-segment histogram, and scattering
 // edges in ascending id order leaves every segment already sorted, so
-// ParallelOrder needs no per-segment sort and no order shards in its
-// round loop.
+// ParallelOrder needs no per-segment sort.
 func segmentOrder(tags []int32, segments int) (order []uint32, start []int) {
 	start = make([]int, segments+1)
 	for _, t := range tags {
@@ -233,22 +152,6 @@ func segmentOrder(tags []int32, segments int) (order []uint32, start []int) {
 		}
 	}
 	return order, start
-}
-
-// claimMin lowers *addr to v if v is smaller, atomically — the
-// deterministic tie-break for edges contended by several same-round
-// peeling endpoints. NoVertex (max uint32) is the unclaimed value, so
-// the first bid always lands.
-func claimMin(addr *uint32, v uint32) {
-	for {
-		cur := atomic.LoadUint32(addr)
-		if v >= cur {
-			return
-		}
-		if atomic.CompareAndSwapUint32(addr, cur, v) {
-			return
-		}
-	}
 }
 
 // ValidateEliminationOrder checks the contracts an OrderedResult must

@@ -73,12 +73,25 @@ func Parallel(g *hypergraph.Hypergraph, k int, opts Options) *Result {
 // state is abandoned. A context that can never be canceled adds no
 // per-round cost beyond a nil check.
 func ParallelCtx(ctx context.Context, g *hypergraph.Hypergraph, k int, opts Options) (*Result, error) {
+	res, _, err := peelRounds(ctx, g, k, opts, false)
+	return res, err
+}
+
+// peelRounds runs Parallel's peel and returns its Result. When tag is
+// set it also returns vround, where vround[v] is the round in which
+// vertex v peeled and 0 if v is in the core; ParallelOrder reads the
+// peel order and orientation from it.
+func peelRounds(ctx context.Context, g *hypergraph.Hypergraph, k int, opts Options, tag bool) (*Result, []int32, error) {
 	kern, err := NewKernel(ctx, opts, 1, g.N)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	s := newCoreState(g, k)
 	pool := kern.Pool()
+	var vround []int32
+	if tag {
+		vround = make([]int32, g.N)
+	}
 
 	// Edges are claimed through an atomic bitset (sync/atomic has no byte
 	// CAS); the byte array in coreState is synchronized from it at the end
@@ -86,10 +99,15 @@ func ParallelCtx(ctx context.Context, g *hypergraph.Hypergraph, k int, opts Opti
 	eclaim := parallel.NewBitset(g.M)
 
 	err = kern.RunCtx(ctx, s.pick, func(peelSet []uint32) int {
+		round := int32(kern.Round())
 		// Vertices in the set are distinct and already marked dead by the
-		// select pass; edge claims and degree decrements need atomics.
+		// select pass, so their round tags are plain writes; edge claims
+		// and degree decrements need atomics.
 		pool.For(len(peelSet), grain, func(w, lo, hi int) {
 			for _, v := range peelSet[lo:hi] {
+				if vround != nil {
+					vround[v] = round
+				}
 				for _, e := range g.VertexEdges(int(v)) {
 					if !eclaim.AtomicSet(int(e)) {
 						continue
@@ -109,10 +127,10 @@ func ParallelCtx(ctx context.Context, g *hypergraph.Hypergraph, k int, opts Opti
 		return len(peelSet)
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	syncEdgeClaims(s.edead, eclaim, pool)
-	return s.finish(&Result{Rounds: kern.Rounds, SurvivorHistory: survivors(g.N, kern.Peeled)}), nil
+	return s.finish(&Result{Rounds: kern.Rounds, SurvivorHistory: survivors(g.N, kern.Peeled)}), vround, nil
 }
 
 // pick is the core peels' select pass: it appends the live vertices of

@@ -43,7 +43,7 @@ const grain = 2048
 // action runs in two phases. The scan, over part j's candidates, writes
 // only the part-j item each worker releases (every edge has one, its
 // unique releaser) and logs the release: in its worker's log (the
-// decoders), or at its candidate chunk's offset of one log that is
+// decoders and Subtables), or at its candidate chunk's offset of one log that is
 // packed in chunk order at the barrier (PeelKeys). The owner pass,
 // ForOtherParts, runs after the scan's barrier: one worker per other
 // part walks the logs and applies the releases to its part with plain

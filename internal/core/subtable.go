@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"sync/atomic"
 
 	"repro/internal/hypergraph"
 )
@@ -14,7 +13,8 @@ import (
 // subround can try to peel the same edge — the property the paper's GPU
 // IBLT implementation relies on to avoid deleting an item twice, and the
 // reason this peel, like the IBLT and erasure decoders and PeelKeys,
-// needs no edge claims.
+// needs no edge claims. It runs on the kernel's scan and owner pass with
+// plain writes only (see Kernel).
 //
 // The returned Result counts productive subrounds (Result.Subrounds,
 // Table 5's "Subrounds" column) and full rounds (Result.Rounds), and
@@ -22,7 +22,9 @@ import (
 // (Result.SurvivorHistory, Table 6's "Experiment" column).
 //
 // g must be partitioned (hypergraph.Partitioned); Subtables panics
-// otherwise.
+// otherwise. The owner pass relies on the partition contract that
+// position j of every edge lies in subtable j, which Partitioned
+// guarantees and FromEdges and ReadFrom validate.
 func Subtables(g *hypergraph.Hypergraph, k int, opts Options) *Result {
 	res, _ := SubtablesCtx(context.Background(), g, k, opts)
 	return res
@@ -44,21 +46,23 @@ func SubtablesCtx(ctx context.Context, g *hypergraph.Hypergraph, k int, opts Opt
 	s := newCoreState(g, k)
 	pool := kern.Pool()
 	peeled := pool.NewCounter()
+	logs := make([][]uint32, pool.Workers())
 
-	// Subround j runs on subtable j's candidates with the select fused
-	// into the peel. Every edge meets subtable j in exactly one vertex,
-	// its unique releaser in this subround: peeling a subtable-j vertex
-	// writes no other subtable-j degree, so the peel set is the snapshot
-	// a separate select pass would take, and an edge's dead mark is
-	// touched in subround j by that endpoint alone. Only the degree
-	// decrements in other subtables are atomic. Freed vertices are
-	// enlisted into their own subtable's next subround; cross-subtable
-	// ones can be peeled later this round, which is why subrounds make
+	// Subround j runs on subtable j's candidates in the kernel's two
+	// phases, with the select fused into the scan. Every edge meets
+	// subtable j in exactly one vertex, its unique releaser in this
+	// subround, and the scan writes no subtable-j degree: its peel set is
+	// the snapshot a separate select pass would take. The scan marks each
+	// peeled vertex and its live edges dead and logs the edges in its
+	// worker's log. The owner pass then gives each other subtable p one
+	// worker, which decrements every logged edge's position-p endpoint
+	// and enlists it if it fell below k; freed vertices of later
+	// subtables can peel later this round, which is why subrounds make
 	// faster progress than rounds.
 	err = kern.RunCtx(ctx, nil, func(cands []uint32) int {
 		peeled.Reset()
 		pool.For(len(cands), grain, func(w, lo, hi int) {
-			n := 0
+			n, log := 0, logs[w]
 			for _, v := range cands[lo:hi] {
 				if s.vdead[v] != 0 || s.deg[v] >= s.k {
 					continue
@@ -66,19 +70,28 @@ func SubtablesCtx(ctx context.Context, g *hypergraph.Hypergraph, k int, opts Opt
 				s.vdead[v] = 1
 				n++
 				for _, e := range g.VertexEdges(int(v)) {
-					if s.edead[e] != 0 {
-						continue
-					}
-					s.edead[e] = 1
-					for _, u := range g.EdgeVertices(int(e)) {
-						if u != v && atomic.AddInt32(&s.deg[u], -1) < s.k {
-							kern.Enlist(w, u)
-						}
+					if s.edead[e] == 0 {
+						s.edead[e] = 1
+						log = append(log, e)
 					}
 				}
 			}
+			logs[w] = log
 			peeled.Add(w, int64(n))
 		})
+		kern.ForOtherParts(int(cands[0])/g.SubtableSize, func(w, p int) {
+			for _, log := range logs {
+				for _, e := range log {
+					u := g.Edges[int(e)*g.R+p]
+					if s.deg[u]--; s.deg[u] < s.k {
+						kern.Enlist(w, u)
+					}
+				}
+			}
+		})
+		for w := range logs {
+			logs[w] = logs[w][:0]
+		}
 		return int(peeled.Sum())
 	})
 	if err != nil {

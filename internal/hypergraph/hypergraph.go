@@ -226,7 +226,8 @@ func forEdgeChunks(pool *parallel.Pool, base uint64, m int, fill func(cg *rng.RN
 // FromEdges builds a hypergraph from an explicit flattened edge list
 // (length m*r). The slice is retained, not copied. SubtableSize may be 0.
 // It panics if the list length is not a multiple of r or any vertex id is
-// out of range.
+// out of range, and, for a partitioned graph, if n is not r subtables of
+// subtableSize vertices or some edge's position j is not in subtable j.
 func FromEdges(n, r int, edges []uint32, subtableSize int) *Hypergraph {
 	return FromEdgesWithPool(n, r, edges, subtableSize, parallel.Default())
 }
@@ -242,20 +243,29 @@ func FromEdgesWithPool(n, r int, edges []uint32, subtableSize int, pool *paralle
 	if len(edges)%r != 0 {
 		panic("hypergraph: edge list length not a multiple of r")
 	}
+	if subtableSize != 0 && subtableSize*r != n {
+		panic(fmt.Sprintf("hypergraph: %d subtables of %d vertices != n=%d", r, subtableSize, n))
+	}
+	misplaced := func(i int, v uint32) bool {
+		return subtableSize != 0 && int(v)/subtableSize != i%r
+	}
 	bad := pool.NewCounter()
 	pool.For(len(edges), 1<<15, func(w, lo, hi int) {
 		local := 0
-		for _, v := range edges[lo:hi] {
-			if int(v) >= n {
+		for i, v := range edges[lo:hi] {
+			if int(v) >= n || misplaced(lo+i, v) {
 				local++
 			}
 		}
 		bad.Add(w, int64(local))
 	})
 	if bad.Sum() > 0 {
-		for _, v := range edges {
+		for i, v := range edges {
 			if int(v) >= n {
 				panic(fmt.Sprintf("hypergraph: vertex %d out of range [0,%d)", v, n))
+			}
+			if misplaced(i, v) {
+				panic(fmt.Sprintf("hypergraph: edge %d has vertex %d at position %d, outside subtable %d", i/r, v, i%r, i%r))
 			}
 		}
 	}

@@ -161,6 +161,8 @@ func TestFromEdgesValidation(t *testing.T) {
 	for name, f := range map[string]func(){
 		"bad length":    func() { FromEdges(5, 3, []uint32{0, 1}, 0) },
 		"out of range":  func() { FromEdges(3, 3, []uint32{0, 1, 7}, 0) },
+		"misplaced":     func() { FromEdges(6, 3, []uint32{0, 2, 4, 2, 0, 4}, 2) },
+		"partition":     func() { FromEdges(7, 3, []uint32{0, 2, 4}, 2) },
 		"bad arity":     func() { FromEdges(5, 1, []uint32{0}, 0) },
 		"uniform n < r": func() { Uniform(2, 1, 3, rng.New(1)) },
 		"negative m":    func() { Uniform(10, -1, 3, rng.New(1)) },

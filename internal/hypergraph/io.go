@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 )
 
 // Binary hypergraph format, for persisting generated instances and
@@ -51,9 +52,18 @@ func (g *Hypergraph) WriteTo(w io.Writer) (int64, error) {
 	return written, bw.Flush()
 }
 
+// readChunk is the number of edge entries ReadFrom reads at a time, so
+// that a header promising more edges than the payload holds costs
+// memory only for the bytes actually present.
+const readChunk = 1 << 14
+
 // ReadFrom deserializes a hypergraph written by WriteTo and rebuilds the
-// incidence index. It validates vertex ranges and the partition
-// structure.
+// incidence index. It validates the header before it allocates for it:
+// n is at most 2^32, since vertex ids are uint32, and the m·r incidences
+// must be countable by the uint32 CSR offsets. It validates vertex ranges
+// and the partition structure (position j of every edge in subtable j,
+// the contract Subtables relies on), and reads the edges in chunks, so
+// memory grows only with the edge bytes actually present.
 func ReadFrom(r io.Reader) (*Hypergraph, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, 4)
@@ -64,36 +74,34 @@ func ReadFrom(r io.Reader) (*Hypergraph, error) {
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return nil, fmt.Errorf("%w: short header", ErrBadFormat)
 	}
-	n := int(binary.LittleEndian.Uint64(hdr[0:]))
-	m := int(binary.LittleEndian.Uint64(hdr[8:]))
-	rr := int(binary.LittleEndian.Uint64(hdr[16:]))
-	sub := int(binary.LittleEndian.Uint64(hdr[24:]))
-	if rr < 2 || rr > MaxArity || n < rr || m < 0 || sub < 0 {
+	n := binary.LittleEndian.Uint64(hdr[0:])
+	m := binary.LittleEndian.Uint64(hdr[8:])
+	rr := binary.LittleEndian.Uint64(hdr[16:])
+	sub := binary.LittleEndian.Uint64(hdr[24:])
+	if rr < 2 || rr > MaxArity || n < rr || n > 1<<32 || m > math.MaxUint32/rr || sub > n {
 		return nil, fmt.Errorf("%w: header n=%d m=%d r=%d sub=%d", ErrBadFormat, n, m, rr, sub)
 	}
 	if sub != 0 && sub*rr != n {
 		return nil, fmt.Errorf("%w: partition %d×%d != n=%d", ErrBadFormat, sub, rr, n)
 	}
-	edges := make([]uint32, m*rr)
-	raw := make([]byte, 4*len(edges))
-	if _, err := io.ReadFull(br, raw); err != nil {
-		return nil, fmt.Errorf("%w: short edge data", ErrBadFormat)
-	}
-	for i := range edges {
-		v := binary.LittleEndian.Uint32(raw[4*i:])
-		if int(v) >= n {
-			return nil, fmt.Errorf("%w: vertex %d out of range", ErrBadFormat, v)
+	total := int(m * rr)
+	edges := make([]uint32, 0, min(total, readChunk))
+	raw := make([]byte, 4*min(total, readChunk))
+	for len(edges) < total {
+		chunk := raw[:4*min(total-len(edges), readChunk)]
+		if _, err := io.ReadFull(br, chunk); err != nil {
+			return nil, fmt.Errorf("%w: short edge data", ErrBadFormat)
 		}
-		edges[i] = v
-	}
-	if sub != 0 {
-		for e := 0; e < m; e++ {
-			for j := 0; j < rr; j++ {
-				if int(edges[e*rr+j])/sub != j {
-					return nil, fmt.Errorf("%w: edge %d violates partition", ErrBadFormat, e)
-				}
+		for i := 0; i < len(chunk); i += 4 {
+			v := uint64(binary.LittleEndian.Uint32(chunk[i:]))
+			if v >= n {
+				return nil, fmt.Errorf("%w: vertex %d out of range", ErrBadFormat, v)
 			}
+			if j := uint64(len(edges)) % rr; sub != 0 && v/sub != j {
+				return nil, fmt.Errorf("%w: edge %d violates partition", ErrBadFormat, uint64(len(edges))/rr)
+			}
+			edges = append(edges, uint32(v))
 		}
 	}
-	return FromEdges(n, rr, edges, sub), nil
+	return FromEdges(int(n), int(rr), edges, int(sub)), nil
 }

@@ -2,6 +2,7 @@ package hypergraph
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 
@@ -56,6 +57,12 @@ func TestReadFromRejectsCorruption(t *testing.T) {
 		"bad magic":   append([]byte("XXXX"), data[4:]...),
 		"short hdr":   data[:20],
 		"short edges": data[:len(data)-4],
+		// m·r far beyond memory: sized from the header, it panicked.
+		"huge m": wireHeader(100, 1<<61, 3, 0),
+		// m·r wraps to 4 mod 2^64: it was accepted as one edge.
+		"wrapping m·r": append(wireHeader(100, 1<<62+1, 4, 0), make([]byte, 16)...),
+		"n over 2^32":  wireHeader(1<<32+1, 0, 2, 0),
+		"huge sub":     wireHeader(100, 0, 2, 1<<63),
 	}
 	for name, payload := range cases {
 		if _, err := ReadFrom(bytes.NewReader(payload)); !errors.Is(err, ErrBadFormat) {
@@ -72,6 +79,52 @@ func TestReadFromRejectsCorruption(t *testing.T) {
 	if _, err := ReadFrom(bytes.NewReader(bad)); !errors.Is(err, ErrBadFormat) {
 		t.Errorf("vertex range: err = %v, want ErrBadFormat", err)
 	}
+}
+
+// wireHeader returns the magic and header of a graph with the given
+// fields and no edge data.
+func wireHeader(n, m, r, sub uint64) []byte {
+	b := []byte(wireMagic)
+	for _, x := range []uint64{n, m, r, sub} {
+		b = binary.LittleEndian.AppendUint64(b, x)
+	}
+	return b
+}
+
+// FuzzReadFrom feeds arbitrary bytes to ReadFrom: it must return a graph
+// that round-trips through WriteTo, or ErrBadFormat, and never panic.
+// Headers with n above 2^16 are skipped: a valid header's n-sized CSR
+// arrays are the graph's own size, and a fuzzer would spend its time
+// allocating them.
+func FuzzReadFrom(f *testing.F) {
+	for _, g := range []*Hypergraph{Uniform(20, 12, 3, rng.New(1)), Partitioned(12, 5, 3, rng.New(2))} {
+		var buf bytes.Buffer
+		if _, err := g.WriteTo(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Add(wireHeader(100, 1<<61, 3, 0))
+	f.Add(append(wireHeader(100, 1<<62+1, 4, 0), make([]byte, 16)...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) >= 12 && binary.LittleEndian.Uint64(data[4:]) > 1<<16 {
+			t.Skip()
+		}
+		g, err := ReadFrom(bytes.NewReader(data))
+		if err != nil {
+			if !errors.Is(err, ErrBadFormat) {
+				t.Fatalf("err = %v, want ErrBadFormat", err)
+			}
+			return
+		}
+		var buf bytes.Buffer
+		if _, err := g.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(data, buf.Bytes()) {
+			t.Fatal("accepted graph does not round-trip")
+		}
+	})
 }
 
 func TestReadFromRejectsBrokenPartition(t *testing.T) {

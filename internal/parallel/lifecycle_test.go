@@ -292,15 +292,23 @@ func TestGroupRejectedAfterShutdown(t *testing.T) {
 
 // TestStatsUnderLoad drives concurrent jobs and checks the counters
 // move: admissions equal submissions, and helpers were observed busy or
-// batches queued at least once during the run.
+// batches queued at least once during the run. The jobs keep loading
+// the pool until the sampler has seen activity (or a 10 s deadline
+// passes), so a fast machine cannot finish the work between samples.
 func TestStatsUnderLoad(t *testing.T) {
 	pool := NewPool(4)
 	defer pool.Close()
 	g := pool.NewGroup(0)
 	const jobs = 6
+	stop := make(chan struct{})
 	for j := 0; j < jobs; j++ {
 		g.Go(func(p *Pool) error {
-			for rep := 0; rep < 50; rep++ {
+			for {
+				select {
+				case <-stop:
+					return nil
+				default:
+				}
 				p.For(1<<14, 256, func(_, lo, hi int) {
 					s := 0
 					for i := lo; i < hi; i++ {
@@ -309,17 +317,17 @@ func TestStatsUnderLoad(t *testing.T) {
 					_ = s
 				})
 			}
-			return nil
 		})
 	}
 	sawActivity := false
-	for i := 0; i < 1000 && !sawActivity; i++ {
+	for deadline := time.Now().Add(10 * time.Second); !sawActivity && time.Now().Before(deadline); {
 		st := pool.Stats()
 		if st.BusyHelpers > 0 || st.QueueDepth > 0 {
 			sawActivity = true
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
+	close(stop)
 	if err := g.Wait(); err != nil {
 		t.Fatal(err)
 	}

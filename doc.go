@@ -54,19 +54,25 @@
 //
 // Under the hood every parallel peel — k-core, ordered, subtable, IBLT
 // decode, and erasure recovery — runs on one round kernel (core.Kernel),
-// which owns the round and subround loop, the scan policy, duplicate
-// suppression, the barrier's cancellation check, and the round
-// accounting; each peel supplies only its peel action. The subround
+// which owns the round and subround loop, the scan policy, the
+// candidate lists, the barrier's cancellation check, and the round
+// accounting; each peel supplies only its peel action, and either its
+// first candidate lists, listing each item at most once over the peel,
+// or the default seed of every item with duplicate suppression. The subround
 // peels (subtable, key, IBLT decode, and erasure recovery) share one
 // argument: every edge meets subtable j in exactly one item, its unique
 // releaser, so subround j writes no subtable-j state but its
 // releasers' own, needs no claims or atomic reads, and peels the same
 // set at every worker count. Nor do they need atomic writes: each
 // subround's scan logs its releases, and then one owner per other
-// subtable applies them with plain writes, enlisting its own
-// subtable's items without an atomic either. An erasure code's check cells therefore form r
-// subtables of ⌊cells/r⌋ cells; the cells mod r tail cells are never
-// written, and NewErasureCode panics when cells < r. The kernel runs on
+// subtable applies them with plain writes, appending its own
+// subtable's items to their list without an atomic either. An erasure
+// code's check cells therefore form r subtables of ⌊cells/r⌋ cells; the
+// cells mod r tail cells are never written, and NewErasureCode panics
+// when cells < r. The key peel and erasure recovery list each vertex or
+// cell at most once: a degree or count only falls, so an item is listed
+// when it first reaches the peelable value, by the set-up pass or by
+// its subtable's owner. The kernel runs on
 // the Runtime's pool (internal/parallel.Pool): workers stay alive
 // across rounds, each round's phases are dispatched as chunked
 // parallel-for batches, and per-worker frontier shards — indexed by the

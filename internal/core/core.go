@@ -60,6 +60,11 @@ type Result struct {
 	CoreVertices int
 	CoreEdges    int
 
+	// Candidates is the number of vertices the parallel peelers' rounds
+	// examined, summed over every (sub)round run: the process's work,
+	// at most N + R·M under Frontier. Zero for Sequential.
+	Candidates int
+
 	// VertexAlive[v] != 0 iff vertex v survived (is in the k-core).
 	VertexAlive []uint8
 

@@ -252,6 +252,37 @@ func TestScanPoliciesAgreeOnRounds(t *testing.T) {
 	}
 }
 
+// TestFrontierWorkBound is the work oracle of the peels on the kernel's
+// default seed. A Frontier vertex is listed once at the start and again
+// at most once for each removal of one of its edges by another
+// endpoint, so Parallel and Subtables hand out at most N + (R−1)·M
+// candidates, within the N + R·M work bound. FullScan hands out N per
+// round run, the final silent round included.
+func TestFrontierWorkBound(t *testing.T) {
+	pool := parallel.NewPool(3)
+	defer pool.Close()
+	for _, c := range []float64{0.7, 0.85} {
+		const n = 30000
+		m := int(c * n)
+		plain, parts := uniformGraph(n, m, 3, 41), partitionedGraph(n, m, 3, 42)
+		for _, tc := range []struct {
+			name string
+			g    *hypergraph.Hypergraph
+			run  func(Options) *Result
+		}{
+			{"Parallel", plain, func(o Options) *Result { return Parallel(plain, 2, o) }},
+			{"Subtables", parts, func(o Options) *Result { return Subtables(parts, 2, o) }},
+		} {
+			if res, bound := tc.run(Options{Pool: pool}), n+(tc.g.R-1)*m; res.Candidates > bound {
+				t.Errorf("%s c=%v Frontier: %d candidates, bound %d", tc.name, c, res.Candidates, bound)
+			}
+			if res := tc.run(Options{Scan: FullScan, Pool: pool}); res.Candidates != n*(res.Rounds+1) {
+				t.Errorf("%s c=%v FullScan: %d candidates over %d+1 rounds of %d", tc.name, c, res.Candidates, res.Rounds, n)
+			}
+		}
+	}
+}
+
 func TestParallelDeterministic(t *testing.T) {
 	g := uniformGraph(30000, 21000, 4, 21)
 	a := Parallel(g, 2, Options{})

@@ -50,6 +50,10 @@ type KeyPeel struct {
 	// (RoundStart[0] == 0); len == Subrounds+1.
 	RoundStart []int
 
+	// Candidates is the number of vertices the subround scans examined,
+	// at most the vertex count: PeelKeys lists each vertex at most once.
+	Candidates int
+
 	n int // vertices
 }
 
@@ -109,12 +113,6 @@ func (p *KeyPeel) Ordered(edges []uint32) *OrderedResult {
 	return res
 }
 
-// keyChunk is what one chunk of a PeelKeys subround scan found: the
-// releases it wrote and the candidates it peeled.
-type keyChunk struct {
-	freed, peeled int
-}
-
 // PeelKeys is one attempt of the hash-and-peel builders (internal/mphf,
 // internal/bloomier): on pool, key i becomes edge i = hash(keys[i]) of a
 // 3-partite hypergraph whose part j holds the subSize vertices
@@ -130,18 +128,30 @@ type keyChunk struct {
 // 1 and subtracts it from the edge's two other endpoints. Those lie in
 // other parts, so part-j state is written only in other parts'
 // subrounds: subround j's peel set is fixed at its barrier, and every
-// edge has a unique releaser, its part-j endpoint. Nor does the peel
-// need atomics. The scan zeroes each releasing vertex's degree and
-// writes the edge into the peel order, at the offset of the candidate
-// chunk that released it; after the barrier the chunks' releases are
-// packed in chunk order, so the subround's segment is its releases in
-// candidate order, and its end offset is recorded. Then one owner per
-// other part walks the segment and subtracts every edge from its
-// endpoint there (the kernel's owner pass), with plain writes, and
-// enlists the endpoints it leaves at degree 1 in the order it meets
-// them. Each part's next candidate list is thus a deterministic
-// function of the segments before it, and by induction the segments,
-// rounds and core are identical at every worker count.
+// edge has a unique releaser, its part-j endpoint.
+//
+// Each vertex is listed as a candidate at most once over the whole
+// peel, so candidates total at most n = 3·subSize. The degree pass
+// lists each part's vertices of degree ≤ 1, in id order, as the part's
+// first candidates; later, a vertex is listed when its degree falls to
+// exactly 1. Degrees only fall, so a listed vertex still has degree ≤ 1
+// when its subround comes and peels then, and a vertex not listed
+// first passes through degree 1 once. A part's candidates in a
+// subround are therefore exactly its vertices of degree ≤ 1 not yet
+// peeled: the Appendix B peel set.
+//
+// Nor does the peel need atomics. The scan zeroes each releasing
+// vertex's degree and writes the edge into the peel order, at the
+// offset of the candidate chunk that released it; after the barrier the
+// chunks' releases are packed in chunk order, so the subround's segment
+// is its releases in candidate order, and its end offset is recorded.
+// Then one owner per other part walks the segment and subtracts every
+// edge from its endpoint there (the kernel's owner pass), with plain
+// writes, and appends the endpoints it leaves at degree 1 to its part's
+// list in the order it meets them. Each part's next candidate list is
+// thus a deterministic function of the first lists and the segments
+// before it, and by induction the segments, rounds and core are
+// identical at every worker count.
 //
 // Equal keys hash to identical edges, whose vertices keep degree ≥ 2, so
 // every duplicated key survives into the core under any seed: PeelKeys
@@ -150,8 +160,7 @@ type keyChunk struct {
 // means the keys are distinct. The core is counted only when it is
 // non-empty; a successful peel touches no per-edge state but the order.
 func PeelKeys(ctx context.Context, keys []uint64, subSize int, hash func(x uint64) [3]uint32, pool *parallel.Pool) ([]uint32, *KeyPeel, error) {
-	kern, err := NewKernel(ctx, Options{Pool: pool}, 3, subSize)
-	if err != nil {
+	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
 	m, n := len(keys), 3*subSize
@@ -164,25 +173,44 @@ func PeelKeys(ctx context.Context, keys []uint64, subSize int, hash func(x uint6
 		return nil, nil, err
 	}
 	vs := make([]keyVertex, n)
+	first := make([][]uint32, 3)
 	// Part j's entries come only from position j of each edge, so one
-	// piece per part needs no atomics.
+	// piece per part needs no atomics. The piece then lists the part's
+	// first candidates.
 	if err := pool.RunRangesCtx(ctx, 3, 3, func(j, _, _ int) {
 		for e := 0; e < m; e++ {
 			v := &vs[edges[3*e+j]]
 			v.cnt++
 			v.sum += uint32(e)
 		}
+		part := vs[j*subSize : (j+1)*subSize]
+		c := 0
+		for v := range part {
+			if part[v].cnt <= 1 {
+				c++
+			}
+		}
+		cands := make([]uint32, 0, c)
+		for v := range part {
+			if part[v].cnt <= 1 {
+				cands = append(cands, uint32(j*subSize+v))
+			}
+		}
+		first[j] = cands
 	}); err != nil {
 		return nil, nil, err
 	}
+	kern, err := NewKernel(ctx, Options{Pool: pool}, 3, subSize, first)
+	if err != nil {
+		return nil, nil, err
+	}
 
-	// A part lists each candidate at most once, so a subround's scan
-	// writes below order[end+subSize], end being the order's length
-	// before it.
+	// A part lists each vertex at most once, so a subround's scan writes
+	// below order[end+subSize], end being the order's length before it.
 	order := make([]uint32, m+subSize)
 	end := 0
 	ends := []int{0}
-	chunks := make([]keyChunk, (subSize+grain-1)/grain)
+	freedIn := make([]int, (subSize+grain-1)/grain) // releases per candidate chunk
 	err = kern.RunCtx(ctx, nil, func(cands []uint32) int {
 		j := int(cands[0]) / subSize
 		sub := 3*(kern.Round()-1) + j + 1
@@ -191,16 +219,11 @@ func PeelKeys(ctx context.Context, keys []uint64, subSize int, hash func(x uint6
 		}
 		out := order[end : end+len(cands)]
 		pool.For(len(cands), grain, func(_, lo, hi int) {
-			freed, peeled := 0, 0
+			freed := 0
 			dst := out[lo:hi]
 			for _, v := range cands[lo:hi] {
-				if vs[v].cnt > 1 {
-					continue
-				}
-				// A candidate of degree ≤ 1 peels now and is counted
-				// once: degrees only fall, and a vertex is listed again
-				// only when its degree falls to 1.
-				peeled++
+				// Every candidate has degree ≤ 1 and peels now; one of
+				// degree 1 releases its last edge.
 				if vs[v].cnt == 0 {
 					continue
 				}
@@ -208,25 +231,24 @@ func PeelKeys(ctx context.Context, keys []uint64, subSize int, hash func(x uint6
 				vs[v].cnt = 0
 				freed++
 			}
-			chunks[lo/grain] = keyChunk{freed, peeled}
+			freedIn[lo/grain] = freed
 		})
-		seg, peeled := end, 0
+		seg := end
 		for c, lo := 0, 0; lo < len(cands); c, lo = c+1, lo+grain {
-			end += copy(order[end:], out[lo:lo+chunks[c].freed])
-			peeled += chunks[c].peeled
+			end += copy(order[end:], out[lo:lo+freedIn[c]])
 		}
 		freed := order[seg:end]
-		kern.ForOtherParts(j, func(w, p int) {
+		kern.ForOtherParts(j, func(p int) {
 			for _, e := range freed {
 				u := edges[3*int(e)+p]
 				vs[u].sum -= e
 				if vs[u].cnt--; vs[u].cnt == 1 {
-					kern.Enlist(w, u)
+					kern.Append(p, u)
 				}
 			}
 		})
 		ends = append(ends, end)
-		return peeled
+		return len(cands)
 	})
 	if err != nil {
 		return nil, nil, err
@@ -238,6 +260,7 @@ func PeelKeys(ctx context.Context, keys []uint64, subSize int, hash func(x uint6
 		CoreEdges:       m - end,
 		PeelOrder:       order[:end],
 		RoundStart:      ends[:kern.Subrounds+1],
+		Candidates:      kern.Candidates,
 		n:               n,
 	}
 	if peel.CoreEdges == 0 {

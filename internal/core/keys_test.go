@@ -124,6 +124,25 @@ func TestPeelKeysOrderedPinned(t *testing.T) {
 	}
 }
 
+// TestPeelKeysListsOnce is the key peel's work oracle. PeelKeys lists a
+// vertex when its degree is first ≤ 1 and never again, so it lists every
+// vertex outside the 2-core exactly once and no core vertex: its
+// candidates number n − CoreVertices ≤ n, on both sides of the threshold
+// and at every pool size.
+func TestPeelKeysListsOnce(t *testing.T) {
+	for _, gamma := range []float64{1.1, 1.23, 1.4} {
+		keys, subSize, hash := keyInstance(1<<14, gamma, 9)
+		n := 3 * subSize
+		for _, workers := range []int{1, 2, 3, 8} {
+			_, peel, _ := peelKeys(t, keys, subSize, hash, workers)
+			if peel.Candidates > n || peel.Candidates != n-peel.CoreVertices {
+				t.Errorf("γ=%v, %d workers: %d candidates, want n − core vertices = %d − %d",
+					gamma, workers, peel.Candidates, n, peel.CoreVertices)
+			}
+		}
+	}
+}
+
 // TestPeelKeysMatchesSubtables checks the index-free peel runs the
 // Appendix B process itself: the same rounds, subrounds, survivor
 // history and core as Subtables on the CSR graph of its edges, with

@@ -82,7 +82,7 @@ func ParallelCtx(ctx context.Context, g *hypergraph.Hypergraph, k int, opts Opti
 // vertex v peeled and 0 if v is in the core; ParallelOrder reads the
 // peel order and orientation from it.
 func peelRounds(ctx context.Context, g *hypergraph.Hypergraph, k int, opts Options, tag bool) (*Result, []int32, error) {
-	kern, err := NewKernel(ctx, opts, 1, g.N)
+	kern, err := NewKernel(ctx, opts, 1, g.N, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -130,7 +130,7 @@ func peelRounds(ctx context.Context, g *hypergraph.Hypergraph, k int, opts Optio
 		return nil, nil, err
 	}
 	syncEdgeClaims(s.edead, eclaim, pool)
-	return s.finish(&Result{Rounds: kern.Rounds, SurvivorHistory: survivors(g.N, kern.Peeled)}), vround, nil
+	return s.finish(&Result{Rounds: kern.Rounds, SurvivorHistory: survivors(g.N, kern.Peeled), Candidates: kern.Candidates}), vround, nil
 }
 
 // pick is the core peels' select pass: it appends the live vertices of

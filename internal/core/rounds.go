@@ -23,21 +23,24 @@ const grain = 2048
 // The kernel owns what every peel shares:
 //
 //   - the candidates: under FullScan every item of the part; under
-//     Frontier the items enlisted into the part since its last
-//     subround, seeded with every item;
-//   - duplicate suppression and the per-worker enlist shards, merged
-//     into the part lists at the barrier;
+//     Frontier the part's first list, then the items enlisted into the
+//     part since its last subround;
+//   - the first lists: the consumer's own, when it can list each item
+//     at most once over the whole peel, or by default every item, with
+//     duplicate suppression for the items enlisted later;
+//   - the per-worker enlist shards of a scan, merged into the part
+//     lists at the barrier;
 //   - an optional select pass that fixes the peel set before any
 //     removal — the snapshot semantics of the paper's process;
 //   - one ctx.Err() per (sub)round barrier;
 //   - the round cap, termination after a silent round, and the
-//     round/subround accounting.
+//     round/subround and candidate accounting.
 //
 // The consumer owns its peel action: it runs its own pool.For over the
-// items it is handed and calls Enlist for every item it may have made
-// peelable. A consumer may skip the select pass when peeling a part-j
-// item never changes whether another part-j item is peelable — true in
-// subround j whenever every edge meets part j exactly once.
+// items it is handed and enlists every item it may have made peelable.
+// A consumer may skip the select pass when peeling a part-j item never
+// changes whether another part-j item is peelable — true in subround j
+// whenever every edge meets part j exactly once.
 //
 // Such a subround peel needs no atomic read-modify-write at all. Its
 // action runs in two phases. The scan, over part j's candidates, writes
@@ -47,11 +50,12 @@ const grain = 2048
 // packed in chunk order at the barrier (PeelKeys). The owner pass,
 // ForOtherParts, runs after the scan's barrier: one worker per other
 // part walks the logs and applies the releases to its part with plain
-// writes, enlisting what they made peelable. Part j′ is read
-// by nobody before subround j′, so the deferred writes change no peel
-// set. An owner enlists only its own part's items, so Enlist sets their
-// pending marks with plain writes too; it keeps its compare-and-swap
-// for enlists from a scan, where two workers may list one item.
+// writes, appending what they made peelable to its part's list with
+// Append. Part j′ is read by nobody before subround j′, so the deferred
+// writes change no peel set. The owner is its part's one writer, so
+// Append needs no shard, no merge and, under the default seed, only a
+// plain write of the pending mark. Enlist, for a scan, where two
+// workers may list one item, keeps its compare-and-swap and its shard.
 type Kernel struct {
 	pool      *parallel.Pool
 	maxRounds int
@@ -59,22 +63,31 @@ type Kernel struct {
 	partSize  int
 	round     int
 
-	all     []uint32   // 0..n-1: the FullScan candidates and the Frontier seed
-	lists   [][]uint32 // Frontier: each part's candidates
-	pending []uint32   // Frontier: pending[x] != 0 while x is listed; nil under FullScan
-	shards  [][]uint32 // Frontier: enlist shards, worker w's part j at w*stride+j
-	stride  int        // parts plus padding that keeps workers' shard headers a cache line apart
+	all     []uint32   // 0..n-1: the FullScan candidates and the default Frontier seed
+	lists   []list     // Frontier: each part's candidates
+	pending []uint32   // default Frontier seed: pending[x] != 0 while x is listed
+	shards  []list     // default Frontier seed: worker w's scan enlists
 	picks   [][]uint32 // select-pass shards, [worker]
 	picked  []uint32   // the select pass's merged output
-	owned   bool       // inside ForOtherParts: each part has one writer
 
 	// Rounds counts productive rounds, and Subrounds is the index of the
 	// last productive subround, counted across rounds. Peeled[i] is the
 	// number of items peeled in subround i+1, with the final silent round
-	// dropped. All three are final once RunCtx returns nil.
-	Rounds    int
-	Subrounds int
-	Peeled    []int
+	// dropped. Candidates is the number of candidates handed out, summed
+	// over every subround run: the work of the paper's process. All four
+	// are final once RunCtx returns nil.
+	Rounds     int
+	Subrounds  int
+	Peeled     []int
+	Candidates int
+}
+
+// list is a candidate list or an enlist shard. Every append writes its
+// slice header; the padding keeps two workers' headers a cache line
+// apart.
+type list struct {
+	xs []uint32
+	_  [40]byte
 }
 
 // NewKernel returns the kernel of a peel over parts × partSize items
@@ -82,7 +95,17 @@ type Kernel struct {
 // cap. It checks ctx before it allocates anything, so a canceled peel
 // pays no set-up cost; consumers call it before allocating their own
 // state.
-func NewKernel(ctx context.Context, opts Options, parts, partSize int) (*Kernel, error) {
+//
+// Under Frontier, first[j] is part j's first candidate list, which the
+// kernel takes over. A consumer that passes first lists promises to
+// list every item at most once over the whole peel, in first or through
+// Append, and never to call Enlist: the kernel then keeps no pending
+// marks, no enlist shards and no identity list. That fits a peel whose
+// items become peelable once and stay so, such as a vertex whose
+// degree only falls. With nil first lists every item is a first
+// candidate, and an item enlisted again while listed is suppressed.
+// FullScan ignores first.
+func NewKernel(ctx context.Context, opts Options, parts, partSize int, first [][]uint32) (*Kernel, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -93,21 +116,22 @@ func NewKernel(ctx context.Context, opts Options, parts, partSize int) (*Kernel,
 		maxRounds: opts.MaxRounds,
 		parts:     parts,
 		partSize:  partSize,
-		all:       make([]uint32, n),
-		picks:     make([][]uint32, pool.Workers()),
 	}
 	if k.maxRounds <= 0 {
 		k.maxRounds = Deadline
 	}
 	if opts.Scan == Frontier {
+		k.lists = make([]list, parts)
+		if first != nil {
+			for j := range k.lists {
+				k.lists[j].xs = first[j]
+			}
+			return k, nil
+		}
 		k.pending = make([]uint32, n)
-		k.lists = make([][]uint32, parts)
-		// Every Enlist writes its shard's slice header; three 24-byte
-		// headers of padding stop two workers from contending for a
-		// cache line.
-		k.stride = parts + 3
-		k.shards = make([][]uint32, pool.Workers()*k.stride)
+		k.shards = make([]list, pool.Workers())
 	}
+	k.all = make([]uint32, n)
 	pool.For(n, grain, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			k.all[i] = uint32(i)
@@ -119,7 +143,7 @@ func NewKernel(ctx context.Context, opts Options, parts, partSize int) (*Kernel,
 		}
 	})
 	for j := range k.lists {
-		k.lists[j] = k.part(j)
+		k.lists[j].xs = k.part(j)
 	}
 	return k, nil
 }
@@ -130,48 +154,54 @@ func (k *Kernel) Pool() *parallel.Pool { return k.pool }
 // Round returns the 1-based round in progress.
 func (k *Kernel) Round() int { return k.round }
 
-// Enlist makes x a candidate of its part's next subround. Under Frontier
-// it lists x unless x is already listed; under FullScan, where every
-// subround visits its whole part, it does nothing. Call it from worker
-// w's chunks only (or with w = 0 outside any pool.For). Inside
-// ForOtherParts the pending mark is a plain load and store; elsewhere it
-// is taken with a compare-and-swap.
+// Enlist makes x a candidate of its part's next subround, from a scan:
+// under the default seed it lists x unless x is already listed, taking
+// x's pending mark with a compare-and-swap, and under FullScan, where
+// every subround visits its whole part, it does nothing. Call it from
+// worker w's chunks only (or with w = 0 outside any pool.For).
 func (k *Kernel) Enlist(w int, x uint32) {
 	if k.pending == nil {
 		return
 	}
-	if k.owned {
+	if atomic.LoadUint32(&k.pending[x]) != 0 ||
+		!atomic.CompareAndSwapUint32(&k.pending[x], 0, 1) {
+		return
+	}
+	k.shards[w].xs = append(k.shards[w].xs, x)
+}
+
+// Append makes x, an item of part p, a candidate of part p's next
+// subround, from part p's owner in ForOtherParts and from nowhere else.
+// The owner is the part's one writer, so x goes straight onto the
+// part's list. Under the default seed x is skipped if already listed,
+// and its pending mark is a plain load and store; with the consumer's
+// first lists the consumer lists x at most once, so there is no mark.
+// Under FullScan it does nothing.
+func (k *Kernel) Append(p int, x uint32) {
+	if k.lists == nil {
+		return
+	}
+	if k.pending != nil {
 		if k.pending[x] != 0 {
 			return
 		}
 		k.pending[x] = 1
-	} else if atomic.LoadUint32(&k.pending[x]) != 0 ||
-		!atomic.CompareAndSwapUint32(&k.pending[x], 0, 1) {
-		return
 	}
-	i := w * k.stride
-	if k.parts > 1 {
-		i += int(x) / k.partSize
-	}
-	k.shards[i] = append(k.shards[i], x)
+	k.lists[p].xs = append(k.lists[p].xs, x)
 }
 
-// ForOtherParts runs fn(w, p) once for every part p ≠ j, in parallel on
+// ForOtherParts runs fn(p) once for every part p ≠ j, in parallel on
 // the kernel's pool: the owner pass of subround j. Part p has one owner,
-// so fn may write part p's state with plain writes; w indexes the
-// owner's Enlist shard. fn(w, p) may enlist only part-p items: their
-// pending marks are then written by their owner alone, with no atomic.
-// The pass runs min(W, parts−1) ways on a pool of W workers.
-func (k *Kernel) ForOtherParts(j int, fn func(w, part int)) {
-	k.owned = true
-	k.pool.For(k.parts, 1, func(w, lo, hi int) {
+// so fn may write part p's state with plain writes and Append part-p
+// items. The pass runs min(W, parts−1) ways on a pool of W workers.
+func (k *Kernel) ForOtherParts(j int, fn func(p int)) {
+	k.pool.For(k.parts, 1, func(_, lo, hi int) {
 		for p := lo; p < hi; p++ {
 			if p != j {
-				fn(w, p)
+				fn(p)
 			}
 		}
 	})
-	k.owned = false
 }
 
 // RunCtx runs rounds until one peels nothing or the round cap is
@@ -183,6 +213,9 @@ func (k *Kernel) ForOtherParts(j int, fn func(w, part int)) {
 // cancellation RunCtx returns ctx.Err(), and the peel's state must be
 // abandoned.
 func (k *Kernel) RunCtx(ctx context.Context, sel func(cands, out []uint32) []uint32, peel func(items []uint32) int) error {
+	if sel != nil {
+		k.picks = make([][]uint32, k.pool.Workers())
+	}
 	subround := 0
 	for k.round = 1; k.round <= k.maxRounds; k.round++ {
 		productive := false
@@ -192,6 +225,7 @@ func (k *Kernel) RunCtx(ctx context.Context, sel func(cands, out []uint32) []uin
 			}
 			subround++
 			items := k.take(j)
+			k.Candidates += len(items)
 			if sel != nil {
 				k.pool.For(len(items), grain, func(w, lo, hi int) {
 					k.unlist(items[lo:hi])
@@ -230,13 +264,14 @@ func (k *Kernel) part(j int) []uint32 {
 
 // take returns part j's candidates for this subround. A Frontier list
 // is handed out whole and its storage reused for the next list, which
-// is only written by merge, after the subround's last read of it.
+// is only written after the subround's last read of it: by the owner
+// passes of other parts' subrounds, or by merge at the barrier.
 func (k *Kernel) take(j int) []uint32 {
-	if k.pending == nil {
+	if k.lists == nil {
 		return k.part(j)
 	}
-	cands := k.lists[j]
-	k.lists[j] = cands[:0]
+	cands := k.lists[j].xs
+	k.lists[j].xs = cands[:0]
 	return cands
 }
 
@@ -252,14 +287,21 @@ func (k *Kernel) unlist(items []uint32) {
 	}
 }
 
-// merge moves every worker's enlist shards into the part lists at the
-// subround barrier.
+// merge moves every worker's enlist shard into the part lists at the
+// subround barrier, worker by worker, so each list keeps the workers'
+// order.
 func (k *Kernel) merge() {
-	for i, s := range k.shards {
-		if j := i % k.stride; j < k.parts {
-			k.lists[j] = append(k.lists[j], s...)
-			k.shards[i] = s[:0]
+	for w := range k.shards {
+		s := k.shards[w].xs
+		if k.parts == 1 {
+			k.lists[0].xs = append(k.lists[0].xs, s...)
+		} else {
+			for _, x := range s {
+				j := int(x) / k.partSize
+				k.lists[j].xs = append(k.lists[j].xs, x)
+			}
 		}
+		k.shards[w].xs = s[:0]
 	}
 }
 

@@ -131,7 +131,7 @@ func TestKernel(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/scan%d", tc.name, scan), func(t *testing.T) {
 				ctx := &barrierCtx{cancelAfter: 1 << 30}
 				opts := Options{Scan: scan, MaxRounds: tc.maxRounds, Pool: pool}
-				kern, err := NewKernel(ctx, opts, tc.parts, tc.size)
+				kern, err := NewKernel(ctx, opts, tc.parts, tc.size, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -173,7 +173,7 @@ func TestKernelCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := NewKernel(ctx, Options{}, 4, 1<<16); err != context.Canceled {
+		if _, err := NewKernel(ctx, Options{}, 4, 1<<16, nil); err != context.Canceled {
 			t.Fatalf("NewKernel(canceled) = %v", err)
 		}
 	})
@@ -182,7 +182,7 @@ func TestKernelCanceled(t *testing.T) {
 	}
 
 	cc := &barrierCtx{cancelAfter: 4}
-	kern, err := NewKernel(cc, Options{}, 3, 2)
+	kern, err := NewKernel(cc, Options{}, 3, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,7 @@ func SubtablesCtx(ctx context.Context, g *hypergraph.Hypergraph, k int, opts Opt
 	if g.SubtableSize == 0 {
 		panic("core: Subtables requires a partitioned hypergraph")
 	}
-	kern, err := NewKernel(ctx, opts, g.R, g.SubtableSize)
+	kern, err := NewKernel(ctx, opts, g.R, g.SubtableSize, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -79,12 +79,12 @@ func SubtablesCtx(ctx context.Context, g *hypergraph.Hypergraph, k int, opts Opt
 			logs[w] = log
 			peeled.Add(w, int64(n))
 		})
-		kern.ForOtherParts(int(cands[0])/g.SubtableSize, func(w, p int) {
+		kern.ForOtherParts(int(cands[0])/g.SubtableSize, func(p int) {
 			for _, log := range logs {
 				for _, e := range log {
 					u := g.Edges[int(e)*g.R+p]
 					if s.deg[u]--; s.deg[u] < s.k {
-						kern.Enlist(w, u)
+						kern.Append(p, u)
 					}
 				}
 			}
@@ -101,5 +101,6 @@ func SubtablesCtx(ctx context.Context, g *hypergraph.Hypergraph, k int, opts Opt
 		Rounds:          kern.Rounds,
 		Subrounds:       kern.Subrounds,
 		SurvivorHistory: survivors(g.N, kern.Peeled),
+		Candidates:      kern.Candidates,
 	}), nil
 }

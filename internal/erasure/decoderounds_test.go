@@ -215,6 +215,49 @@ func TestDecodeBarriersMatchAcrossPools(t *testing.T) {
 	}
 }
 
+// TestRecoverRoundsListsOnce is recovery's work oracle. A cell's count
+// only falls, and a cell is listed only when its count is 1, so the
+// subround scans examine at most Cells() cells, below and above the
+// threshold and at every pool size.
+func TestRecoverRoundsListsOnce(t *testing.T) {
+	const cells = 3000
+	code := NewCode(cells, 3, 23)
+	gen := rng.New(9)
+	data := make([]uint64, 9000)
+	for i := range data {
+		data[i] = gen.Uint64()
+	}
+	checks := code.Encode(data)
+	ctx := context.Background()
+	for _, frac := range []float64{0.3, 0.78, 0.95} {
+		lost := rng.New(uint64(200 * frac)).Perm(len(data))[:int(frac*cells)]
+		for _, workers := range poolSizes {
+			got := append([]uint64(nil), data...)
+			present := make([]bool, len(data))
+			for i := range present {
+				present[i] = true
+			}
+			for _, i := range lost {
+				got[i], present[i] = 0, false
+			}
+			pool := parallel.NewPool(workers)
+			work := append([]Cell(nil), checks...)
+			missing, err := code.applyAllCtx(ctx, work, got, present, -1, pool)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n, err := code.recoverRounds(ctx, work, got, present, missing, pool)
+			pool.Close()
+			if err != nil && !errors.Is(err, ErrDecodeFailed) {
+				t.Fatalf("loss %v W=%d: %v", frac, workers, err)
+			}
+			if n > cells {
+				t.Errorf("loss %v W=%d: scans examined %d cells, more than the %d there are", frac, workers, n, cells)
+			}
+		}
+	}
+}
+
 // TestConcurrentDecodeRounds runs several parallel decodes of one code
 // on a shared pool — the per-job state contract, meaningful under -race.
 func TestConcurrentDecodeRounds(t *testing.T) {

@@ -271,14 +271,46 @@ func (c *Code) DecodeCtx(ctx context.Context, data []uint64, present []bool, che
 // symbol, zeroes the cell and logs the symbol's index in its worker's
 // log. The owner pass then gives each other subtable p one worker,
 // which subtracts every logged symbol from its subtable-p cell and
-// enlists the cell if its count is now 1, the only count a recoverable
-// cell has. Work is proportional to cells + peeling work, like
-// the serial peel, and the round structure matches the paper's analysis
-// (O(log log n) rounds below threshold).
+// appends the cell to its subtable's list if its count is now 1, the
+// only count a recoverable cell has.
+//
+// Recovery only subtracts, so a cell's count only falls, and a cell is
+// listed when its count is 1: first if it starts there, later when a
+// subtraction leaves it there. Each cell is thus listed at most once,
+// and the kernel keeps no pending marks. Work is proportional to cells
+// + peeling work, like the serial peel, and the round structure
+// matches the paper's analysis (O(log log n) rounds below threshold).
 func (c *Code) decodeRounds(ctx context.Context, work []Cell, data []uint64, present []bool, missing int, pool *parallel.Pool) error {
-	kern, err := core.NewKernel(ctx, core.Options{Scan: core.Frontier, Pool: pool}, c.r, c.subSize)
+	_, err := c.recoverRounds(ctx, work, data, present, missing, pool)
+	return err
+}
+
+// recoverRounds is decodeRounds; it also returns the number of cells
+// the subround scans examined, at most r·subSize.
+func (c *Code) recoverRounds(ctx context.Context, work []Cell, data []uint64, present []bool, missing int, pool *parallel.Pool) (int, error) {
+	if err := ctx.Err(); err != nil {
+		return 0, err
+	}
+	first := make([][]uint32, c.r)
+	pool.RunRanges(c.r, c.r, func(j, _, _ int) {
+		part := work[j*c.subSize : (j+1)*c.subSize]
+		n := 0
+		for p := range part {
+			if part[p].Count == 1 {
+				n++
+			}
+		}
+		cells := make([]uint32, 0, n)
+		for p := range part {
+			if part[p].Count == 1 {
+				cells = append(cells, uint32(j*c.subSize+p))
+			}
+		}
+		first[j] = cells
+	})
+	kern, err := core.NewKernel(ctx, core.Options{Scan: core.Frontier, Pool: pool}, c.r, c.subSize, first)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	logs := make([][]int, pool.Workers())
 	recovered := 0
@@ -295,7 +327,7 @@ func (c *Code) decodeRounds(ctx context.Context, work []Cell, data []uint64, pre
 				logs[w] = append(logs[w], i)
 			}
 		})
-		kern.ForOtherParts(int(cells[0])/c.subSize, func(w, j int) {
+		kern.ForOtherParts(int(cells[0])/c.subSize, func(j int) {
 			for _, log := range logs {
 				for _, i := range log {
 					q := c.position(i, j)
@@ -304,7 +336,7 @@ func (c *Code) decodeRounds(ctx context.Context, work []Cell, data []uint64, pre
 					work[q].ValueSum ^= data[i]
 					work[q].CheckSum ^= c.checksum(i)
 					if work[q].Count == 1 {
-						kern.Enlist(w, uint32(q))
+						kern.Append(j, uint32(q))
 					}
 				}
 			}
@@ -318,12 +350,12 @@ func (c *Code) decodeRounds(ctx context.Context, work []Cell, data []uint64, pre
 		return n
 	})
 	if err != nil {
-		return err
+		return 0, err
 	}
 	if recovered != missing {
-		return fmt.Errorf("%w (recovered %d of %d)", ErrDecodeFailed, recovered, missing)
+		return kern.Candidates, fmt.Errorf("%w (recovered %d of %d)", ErrDecodeFailed, recovered, missing)
 	}
-	return nil
+	return kern.Candidates, nil
 }
 
 // peel runs Decode's queue-driven serial peel of pure cells, filling

@@ -53,7 +53,7 @@ func (g *Hypergraph) WriteTo(w io.Writer) (int64, error) {
 }
 
 // readChunk is the number of edge entries ReadFrom reads at a time, so
-// that a header promising more edges than the payload holds costs
+// that a header promising more edges than the payload holds costs edge
 // memory only for the bytes actually present.
 const readChunk = 1 << 14
 
@@ -63,7 +63,13 @@ const readChunk = 1 << 14
 // must be countable by the uint32 CSR offsets. It validates vertex ranges
 // and the partition structure (position j of every edge in subtable j,
 // the contract Subtables relies on), and reads the edges in chunks, so
-// memory grows only with the edge bytes actually present.
+// the edge list grows only with the edge bytes actually present.
+//
+// Memory is O(n + bytes read), not O(bytes read): the incidence index
+// is sized from the header's n, at 12 or more bytes per vertex, however
+// few edges follow. A 36-byte file declaring n = 2^24 and m = 0
+// allocates at least 192 MiB, and n = 2^32 asks for tens of GB, so a caller
+// reading untrusted input must bound n itself.
 func ReadFrom(r io.Reader) (*Hypergraph, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, 4)

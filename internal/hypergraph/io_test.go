@@ -93,8 +93,9 @@ func wireHeader(n, m, r, sub uint64) []byte {
 
 // FuzzReadFrom feeds arbitrary bytes to ReadFrom: it must return a graph
 // that round-trips through WriteTo, or ErrBadFormat, and never panic.
-// Headers with n above 2^16 are skipped: a valid header's n-sized CSR
-// arrays are the graph's own size, and a fuzzer would spend its time
+// Headers with n above 2^16 are skipped: ReadFrom's memory is O(n +
+// bytes read), since it sizes the CSR arrays from the header's n even
+// when no edge bytes follow, and a fuzzer would spend its time
 // allocating them.
 func FuzzReadFrom(f *testing.F) {
 	for _, g := range []*Hypergraph{Uniform(20, 12, 3, rng.New(1)), Partitioned(12, 5, 3, rng.New(2))} {

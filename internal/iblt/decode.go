@@ -14,6 +14,11 @@ type ParallelResult struct {
 	Rounds    int  // full rounds executed that recovered at least one key
 	Subrounds int  // productive subrounds (last subround that recovered a key)
 	Complete  bool // table fully decoded
+
+	// Candidates is the number of cells the subround scans examined,
+	// summed over every subround run: at most Cells() + r·keys under
+	// Frontier, and subtable size × subrounds run under FullScan.
+	Candidates int
 }
 
 // DecodeParallel is DecodeParallelCtx on the process-wide default pool.
@@ -92,8 +97,11 @@ func (s *recoveryShards) drainInto(res *ParallelResult) int {
 // cell in place (it held exactly its key) and logs the key in its
 // worker's recovery shard. The owner pass then gives each other
 // subtable p one worker, which deletes every logged key from its
-// subtable-p cell and enlists the cell if its count is now ±1; the
-// shards then drain into the result.
+// subtable-p cell and appends the cell to its subtable's list if its
+// count is now ±1; the shards then drain into the result. A deletion
+// can move a count either way, so a cell can return to ±1 while listed:
+// the decoder keeps the kernel's default seed, whose pending marks keep
+// a listed cell from being listed again.
 //
 // A valid table releases each cell at most once, so, like Decode, the
 // decoder stops once it has recovered Cells() keys: a crafted table can
@@ -110,7 +118,7 @@ func (s *recoveryShards) drainInto(res *ParallelResult) int {
 // cancellation, checked at every subround barrier, it returns
 // (nil, ctx.Err()), and the partially decoded table must be discarded.
 func (t *Table) decodeCtx(ctx context.Context, scan core.ScanPolicy, pool *parallel.Pool) (*ParallelResult, error) {
-	kern, err := core.NewKernel(ctx, core.Options{Scan: scan, Pool: pool}, t.r, t.subSize)
+	kern, err := core.NewKernel(ctx, core.Options{Scan: scan, Pool: pool}, t.r, t.subSize, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -137,16 +145,16 @@ func (t *Table) decodeCtx(ctx context.Context, scan core.ScanPolicy, pool *paral
 			}
 			shards.added[w], shards.removed[w] = added, removed
 		})
-		kern.ForOtherParts(int(cells[0])/t.subSize, func(w, p int) {
+		kern.ForOtherParts(int(cells[0])/t.subSize, func(p int) {
 			for s := range shards.added {
 				for _, x := range shards.added[s] {
 					if c, unit := t.remove(x, 1, p); unit {
-						kern.Enlist(w, uint32(c))
+						kern.Append(p, uint32(c))
 					}
 				}
 				for _, x := range shards.removed[s] {
 					if c, unit := t.remove(x, -1, p); unit {
-						kern.Enlist(w, uint32(c))
+						kern.Append(p, uint32(c))
 					}
 				}
 			}
@@ -156,7 +164,7 @@ func (t *Table) decodeCtx(ctx context.Context, scan core.ScanPolicy, pool *paral
 	if err != nil {
 		return nil, err
 	}
-	res.Rounds, res.Subrounds = kern.Rounds, kern.Subrounds
+	res.Rounds, res.Subrounds, res.Candidates = kern.Rounds, kern.Subrounds, kern.Candidates
 	res.Complete = t.empty()
 	return res, nil
 }

@@ -75,6 +75,39 @@ func TestFrontierMatchesFullScanDecode(t *testing.T) {
 	}
 }
 
+// TestDecodeWorkBound is the parallel decoder's work oracle. Under
+// Frontier a cell is listed once at the start and again at most once
+// for each key another subtable's recovery deletes from it, so a decode
+// hands out at most Cells() + (r−1)·keys candidates; under FullScan it
+// hands out Cells() per round run, the final silent round included.
+func TestDecodeWorkBound(t *testing.T) {
+	ctx := context.Background()
+	for _, workers := range []int{1, 3} {
+		pool := parallel.NewPool(workers)
+		for _, load := range []float64{0.5, 0.8, 0.9} {
+			keys := randomKeys(int(load*9000), uint64(51+int(100*load)))
+			a := New(9000, 3, 78)
+			a.InsertAll(keys)
+			b := a.Clone()
+			frontier, err := a.DecodeParallelFrontierCtx(ctx, pool)
+			if err != nil {
+				t.Fatal(err)
+			}
+			full, err := b.DecodeParallelCtx(ctx, pool)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if bound := a.Cells() + (a.r-1)*len(keys); frontier.Candidates > bound {
+				t.Errorf("W=%d load %v Frontier: %d candidates, bound %d", workers, load, frontier.Candidates, bound)
+			}
+			if want := a.Cells() * (full.Rounds + 1); full.Candidates != want {
+				t.Errorf("W=%d load %v FullScan: %d candidates, want %d", workers, load, full.Candidates, want)
+			}
+		}
+		pool.Close()
+	}
+}
+
 func TestFrontierReconciliation(t *testing.T) {
 	common := randomKeys(5000, 32)
 	onlyA := randomKeys(120, 33)

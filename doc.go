@@ -69,10 +69,15 @@
 // subtable's items to their list without an atomic either. An erasure
 // code's check cells therefore form r subtables of ⌊cells/r⌋ cells; the
 // cells mod r tail cells are never written, and NewErasureCode panics
-// when cells < r. The key peel and erasure recovery list each vertex or
-// cell at most once: a degree or count only falls, so an item is listed
-// when it first reaches the peelable value, by the set-up pass or by
-// its subtable's owner. The kernel runs on
+// when cells < r. The key peel, the subtable peel and erasure recovery
+// list each vertex or cell at most once: a degree or count only falls,
+// so an item is listed when it first reaches a peelable value, by the
+// set-up pass or by its subtable's owner. So they append with no branch
+// per item (core.Appender, Kernel.Reserve): every item the owner
+// touches is written to the list's next slot, which is kept only if
+// the item is listed, and the owner pass's random loads stay in flight
+// together. The IBLT decoder, whose cells can turn peelable twice,
+// keeps a pending mark per cell (Kernel.Append). The kernel runs on
 // the Runtime's pool (internal/parallel.Pool): workers stay alive
 // across rounds, each round's phases are dispatched as chunked
 // parallel-for batches, and per-worker frontier shards — indexed by the

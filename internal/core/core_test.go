@@ -252,12 +252,14 @@ func TestScanPoliciesAgreeOnRounds(t *testing.T) {
 	}
 }
 
-// TestFrontierWorkBound is the work oracle of the peels on the kernel's
-// default seed. A Frontier vertex is listed once at the start and again
-// at most once for each removal of one of its edges by another
-// endpoint, so Parallel and Subtables hand out at most N + (R−1)·M
-// candidates, within the N + R·M work bound. FullScan hands out N per
-// round run, the final silent round included.
+// TestFrontierWorkBound is the work oracle of the core peels. On the
+// kernel's default seed a Frontier vertex is listed once at the start
+// and again at most once for each removal of one of its edges by
+// another endpoint, so Parallel hands out at most N + (R−1)·M
+// candidates, within the N + R·M work bound. Subtables lists a vertex
+// once, when its degree is first below k, so it hands out exactly
+// N − CoreVertices. FullScan hands out N per round run, the final
+// silent round included.
 func TestFrontierWorkBound(t *testing.T) {
 	pool := parallel.NewPool(3)
 	defer pool.Close()
@@ -273,8 +275,13 @@ func TestFrontierWorkBound(t *testing.T) {
 			{"Parallel", plain, func(o Options) *Result { return Parallel(plain, 2, o) }},
 			{"Subtables", parts, func(o Options) *Result { return Subtables(parts, 2, o) }},
 		} {
-			if res, bound := tc.run(Options{Pool: pool}), n+(tc.g.R-1)*m; res.Candidates > bound {
+			res, bound := tc.run(Options{Pool: pool}), n+(tc.g.R-1)*m
+			if res.Candidates > bound {
 				t.Errorf("%s c=%v Frontier: %d candidates, bound %d", tc.name, c, res.Candidates, bound)
+			}
+			if tc.name == "Subtables" && res.Candidates != n-res.CoreVertices {
+				t.Errorf("Subtables c=%v Frontier: %d candidates, want n − core vertices = %d − %d",
+					c, res.Candidates, n, res.CoreVertices)
 			}
 			if res := tc.run(Options{Scan: FullScan, Pool: pool}); res.Candidates != n*(res.Rounds+1) {
 				t.Errorf("%s c=%v FullScan: %d candidates over %d+1 rounds of %d", tc.name, c, res.Candidates, res.Rounds, n)

@@ -153,6 +153,12 @@ func (p *KeyPeel) Ordered(edges []uint32) *OrderedResult {
 // before it, and by induction the segments, rounds and core are
 // identical at every worker count.
 //
+// Since no vertex is listed twice, an owner needs no check before it
+// lists one, and appends with no branch (Kernel.Reserve, Appender.Put):
+// its random loads of the endpoints' degrees stay in flight together
+// instead of each waiting on a mispredicted test of the one before. The
+// scan and the degree pass's first lists are branch-free the same way.
+//
 // Equal keys hash to identical edges, whose vertices keep degree ≥ 2, so
 // every duplicated key survives into the core under any seed: PeelKeys
 // checks only a non-empty core's keys and returns an error wrapping
@@ -183,20 +189,19 @@ func PeelKeys(ctx context.Context, keys []uint64, subSize int, hash func(x uint6
 			v.cnt++
 			v.sum += uint32(e)
 		}
-		part := vs[j*subSize : (j+1)*subSize]
-		c := 0
+		// The list is sized exactly: one slot per vertex of degree ≤ 1,
+		// and one for the Puts after the last of them.
+		part, c := vs[j*subSize:(j+1)*subSize], 1
 		for v := range part {
 			if part[v].cnt <= 1 {
 				c++
 			}
 		}
-		cands := make([]uint32, 0, c)
+		cands := NewAppender(c)
 		for v := range part {
-			if part[v].cnt <= 1 {
-				cands = append(cands, uint32(j*subSize+v))
-			}
+			cands = cands.Put(uint32(j*subSize+v), part[v].cnt <= 1)
 		}
-		first[j] = cands
+		first[j] = cands.List()
 	}); err != nil {
 		return nil, nil, err
 	}
@@ -205,9 +210,11 @@ func PeelKeys(ctx context.Context, keys []uint64, subSize int, hash func(x uint6
 		return nil, nil, err
 	}
 
-	// A part lists each vertex at most once, so a subround's scan writes
-	// below order[end+subSize], end being the order's length before it.
-	order := make([]uint32, m+subSize)
+	// A subround's scan writes below order[end+len(cands)], end being the
+	// order's length before it. That is at most m + subSize, and at most
+	// n: each earlier candidate released at most one edge, and no vertex
+	// is listed twice.
+	order := make([]uint32, min(n, m+subSize))
 	end := 0
 	ends := []int{0}
 	freedIn := make([]int, (subSize+grain-1)/grain) // releases per candidate chunk
@@ -223,13 +230,13 @@ func PeelKeys(ctx context.Context, keys []uint64, subSize int, hash func(x uint6
 			dst := out[lo:hi]
 			for _, v := range cands[lo:hi] {
 				// Every candidate has degree ≤ 1 and peels now; one of
-				// degree 1 releases its last edge.
-				if vs[v].cnt == 0 {
-					continue
-				}
+				// degree 1 releases its last edge. The slot is written
+				// either way, so no branch waits on the load of v.
 				dst[freed] = vs[v].sum
+				if vs[v].cnt != 0 {
+					freed++
+				}
 				vs[v].cnt = 0
-				freed++
 			}
 			freedIn[lo/grain] = freed
 		})
@@ -239,13 +246,14 @@ func PeelKeys(ctx context.Context, keys []uint64, subSize int, hash func(x uint6
 		}
 		freed := order[seg:end]
 		kern.ForOtherParts(j, func(p int) {
+			list := kern.Reserve(p, len(freed))
 			for _, e := range freed {
 				u := edges[3*int(e)+p]
 				vs[u].sum -= e
-				if vs[u].cnt--; vs[u].cnt == 1 {
-					kern.Append(p, u)
-				}
+				vs[u].cnt--
+				list = list.Put(u, vs[u].cnt == 1)
 			}
+			kern.Commit(p, list)
 		})
 		ends = append(ends, end)
 		return len(cands)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/parallel"
@@ -27,7 +28,9 @@ const grain = 2048
 //     part since its last subround;
 //   - the first lists: the consumer's own, when it can list each item
 //     at most once over the whole peel, or by default every item, with
-//     duplicate suppression for the items enlisted later;
+//     duplicate suppression for the items listed later;
+//   - the owners' appends to their parts' lists: branch-free for a
+//     consumer's first lists, checked against pending marks otherwise;
 //   - the per-worker enlist shards of a scan, merged into the part
 //     lists at the barrier;
 //   - an optional select pass that fixes the peel set before any
@@ -50,21 +53,31 @@ const grain = 2048
 // packed in chunk order at the barrier (PeelKeys). The owner pass,
 // ForOtherParts, runs after the scan's barrier: one worker per other
 // part walks the logs and applies the releases to its part with plain
-// writes, appending what they made peelable to its part's list with
-// Append. Part j′ is read by nobody before subround j′, so the deferred
-// writes change no peel set. The owner is its part's one writer, so
-// Append needs no shard, no merge and, under the default seed, only a
-// plain write of the pending mark. Enlist, for a scan, where two
-// workers may list one item, keeps its compare-and-swap and its shard.
+// writes, listing what they made peelable on its part's list. Part j′
+// is read by nobody before subround j′, so the deferred writes change
+// no peel set. The owner is its part's one writer, so its appends need
+// no shard and no merge. Enlist, for a scan, where two workers may list
+// one item, keeps its compare-and-swap and its shard.
+//
+// An owner lists items in one of two ways, fixed by NewKernel's first
+// lists. A consumer that passes first lists (PeelKeys, Subtables,
+// erasure recovery) lists each item at most once, so nothing needs to
+// be checked before an item is listed: the owner takes its part's list
+// with Reserve, Puts every item it touches with whether it is now
+// listed (branch-free; see Appender), and hands the list back with
+// Commit. A consumer on the default seed (the IBLT decoder, whose cells
+// can turn peelable more than once) calls Append, which checks and sets
+// the item's pending mark.
 type Kernel struct {
 	pool      *parallel.Pool
 	maxRounds int
 	parts     int
 	partSize  int
 	round     int
+	full      bool // FullScan: every subround visits its whole part
 
 	all     []uint32   // 0..n-1: the FullScan candidates and the default Frontier seed
-	lists   []list     // Frontier: each part's candidates
+	lists   []list     // Frontier: each part's candidates; FullScan: owners' scratch
 	pending []uint32   // default Frontier seed: pending[x] != 0 while x is listed
 	shards  []list     // default Frontier seed: worker w's scan enlists
 	picks   [][]uint32 // select-pass shards, [worker]
@@ -99,12 +112,13 @@ type list struct {
 // Under Frontier, first[j] is part j's first candidate list, which the
 // kernel takes over. A consumer that passes first lists promises to
 // list every item at most once over the whole peel, in first or through
-// Append, and never to call Enlist: the kernel then keeps no pending
-// marks, no enlist shards and no identity list. That fits a peel whose
-// items become peelable once and stay so, such as a vertex whose
-// degree only falls. With nil first lists every item is a first
-// candidate, and an item enlisted again while listed is suppressed.
-// FullScan ignores first.
+// Reserve, Put and Commit, and never to call Enlist or Append: the
+// kernel then keeps no pending marks, no enlist shards and no identity
+// list. That fits a peel whose items become peelable once and stay so,
+// such as a vertex whose degree only falls; NewAppender fills such a
+// list without a branch per item. With nil first lists every item is a
+// first candidate, an owner lists items with Append, and an item
+// enlisted again while listed is suppressed. FullScan ignores first.
 func NewKernel(ctx context.Context, opts Options, parts, partSize int, first [][]uint32) (*Kernel, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -116,12 +130,13 @@ func NewKernel(ctx context.Context, opts Options, parts, partSize int, first [][
 		maxRounds: opts.MaxRounds,
 		parts:     parts,
 		partSize:  partSize,
+		full:      opts.Scan == FullScan,
+		lists:     make([]list, parts),
 	}
 	if k.maxRounds <= 0 {
 		k.maxRounds = Deadline
 	}
-	if opts.Scan == Frontier {
-		k.lists = make([]list, parts)
+	if !k.full {
 		if first != nil {
 			for j := range k.lists {
 				k.lists[j].xs = first[j]
@@ -142,8 +157,10 @@ func NewKernel(ctx context.Context, opts Options, parts, partSize int, first [][
 			}
 		}
 	})
-	for j := range k.lists {
-		k.lists[j].xs = k.part(j)
+	if !k.full {
+		for j := range k.lists {
+			k.lists[j].xs = k.part(j)
+		}
 	}
 	return k, nil
 }
@@ -171,29 +188,81 @@ func (k *Kernel) Enlist(w int, x uint32) {
 }
 
 // Append makes x, an item of part p, a candidate of part p's next
-// subround, from part p's owner in ForOtherParts and from nowhere else.
-// The owner is the part's one writer, so x goes straight onto the
-// part's list. Under the default seed x is skipped if already listed,
-// and its pending mark is a plain load and store; with the consumer's
-// first lists the consumer lists x at most once, so there is no mark.
-// Under FullScan it does nothing.
+// subround, from part p's owner in ForOtherParts and from nowhere else,
+// on a kernel with the default seed. The owner is the part's one
+// writer, so x goes straight onto the part's list, unless x is already
+// listed; its pending mark is a plain load and store. Under FullScan it
+// does nothing. A kernel built with first lists keeps no marks: its
+// owners list with Reserve, Put and Commit.
 func (k *Kernel) Append(p int, x uint32) {
-	if k.lists == nil {
+	if k.full || k.pending[x] != 0 {
 		return
 	}
-	if k.pending != nil {
-		if k.pending[x] != 0 {
-			return
-		}
-		k.pending[x] = 1
-	}
+	k.pending[x] = 1
 	k.lists[p].xs = append(k.lists[p].xs, x)
+}
+
+// An Appender fills a candidate list that lists each item at most once,
+// with no branch per item: Put writes every item it is given into the
+// list's next free slot, and moves past the slot only if the item is
+// listed. The compiler turns that move into a conditional move, so a
+// loop of Puts whose listed flags hang on random loads keeps those
+// loads in flight together; a branch on each flag would be
+// mispredicted about as often as it is taken, and every misprediction
+// throws away the loads issued after it. An Appender is a value: keep
+// the one Put returns.
+type Appender struct {
+	buf []uint32 // the list in buf[:n], then its free slots
+	n   int
+}
+
+// NewAppender returns an empty list of n slots. It takes any number of
+// Puts while it lists fewer than n items: n Puts, or one more slot than
+// the items a count pass found listed.
+func NewAppender(n int) Appender { return Appender{buf: make([]uint32, n)} }
+
+// Put writes x into a's next free slot and returns a with x listed if
+// listed is true, and unchanged otherwise. It panics if every slot
+// holds a listed item.
+func (a Appender) Put(x uint32, listed bool) Appender {
+	a.buf[a.n] = x
+	if listed {
+		a.n++
+	}
+	return a
+}
+
+// List returns the listed items, in the order they were put.
+func (a Appender) List() []uint32 { return a.buf[:a.n] }
+
+// Reserve hands part p's list to part p's owner in ForOtherParts, with
+// n free slots: room for n Puts, one per release the owner applies.
+// The owner returns the list with Commit before its pass ends. Under
+// FullScan the list is scratch that Commit discards. Panics if the
+// kernel has the default seed, whose owners list with Append.
+func (k *Kernel) Reserve(p, n int) Appender {
+	if k.pending != nil {
+		panic("core: Reserve on a kernel without first lists")
+	}
+	xs := slices.Grow(k.lists[p].xs, n)
+	return Appender{buf: xs[:cap(xs)], n: len(xs)}
+}
+
+// Commit makes a, taken from Reserve(p, ·), part p's list again: its
+// items are candidates of part p's next subround.
+func (k *Kernel) Commit(p int, a Appender) {
+	if k.full {
+		a.n = 0
+	}
+	k.lists[p].xs = a.buf[:a.n]
 }
 
 // ForOtherParts runs fn(p) once for every part p ≠ j, in parallel on
 // the kernel's pool: the owner pass of subround j. Part p has one owner,
-// so fn may write part p's state with plain writes and Append part-p
-// items. The pass runs min(W, parts−1) ways on a pool of W workers.
+// so fn may write part p's state with plain writes and list part-p
+// items: through Reserve, Put and Commit on a kernel built with first
+// lists, and with Append on one with the default seed. The pass runs
+// min(W, parts−1) ways on a pool of W workers.
 func (k *Kernel) ForOtherParts(j int, fn func(p int)) {
 	k.pool.For(k.parts, 1, func(_, lo, hi int) {
 		for p := lo; p < hi; p++ {
@@ -267,7 +336,7 @@ func (k *Kernel) part(j int) []uint32 {
 // is only written after the subround's last read of it: by the owner
 // passes of other parts' subrounds, or by merge at the barrier.
 func (k *Kernel) take(j int) []uint32 {
-	if k.lists == nil {
+	if k.full {
 		return k.part(j)
 	}
 	cands := k.lists[j].xs

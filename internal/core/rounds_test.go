@@ -194,3 +194,47 @@ func TestKernelCanceled(t *testing.T) {
 		t.Fatalf("%d ctx.Err() calls, want 5", got)
 	}
 }
+
+// TestAppender checks the owners' listed-once append: Put lists only the
+// items flagged listed, in order, within the room made or reserved for
+// every item; Commit hands the list to the part's next subround (and
+// discards it under FullScan); and Reserve refuses a kernel on the
+// default seed, whose owners must check pending marks with Append.
+func TestAppender(t *testing.T) {
+	a := NewAppender(4)
+	for x := uint32(4); x < 8; x++ {
+		a = a.Put(x, x%2 == 1)
+	}
+	if got := a.List(); !slices.Equal(got, []uint32{5, 7}) {
+		t.Fatalf("List = %v, want [5 7]", got)
+	}
+
+	for _, scan := range []ScanPolicy{Frontier, FullScan} {
+		kern, err := NewKernel(context.Background(), Options{Scan: scan}, 2, 4, [][]uint32{{0}, a.List()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := kern.Reserve(1, 2)
+		l = l.Put(4, true)
+		l = l.Put(6, false)
+		kern.Commit(1, l)
+		want := []uint32{5, 7, 4}
+		if scan == FullScan {
+			want = []uint32{4, 5, 6, 7}
+		}
+		if got := kern.take(1); !slices.Equal(got, want) {
+			t.Errorf("scan %d: part 1's candidates %v, want %v", scan, got, want)
+		}
+	}
+
+	kern, err := NewKernel(context.Background(), Options{}, 2, 4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Reserve on the default seed did not panic")
+		}
+	}()
+	kern.Reserve(0, 1)
+}

@@ -39,12 +39,35 @@ func SubtablesCtx(ctx context.Context, g *hypergraph.Hypergraph, k int, opts Opt
 	if g.SubtableSize == 0 {
 		panic("core: Subtables requires a partitioned hypergraph")
 	}
-	kern, err := NewKernel(ctx, opts, g.R, g.SubtableSize, nil)
-	if err != nil {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	s := newCoreState(g, k)
-	pool := kern.Pool()
+	pool := opts.pool()
+	var first [][]uint32
+	if opts.Scan == Frontier {
+		first = make([][]uint32, g.R)
+		pool.RunRanges(g.R, g.R, func(j, _, _ int) {
+			// One slot per vertex of degree < k, and one for the Puts
+			// after the last.
+			lo, c := j*g.SubtableSize, 1
+			part := s.deg[lo : lo+g.SubtableSize]
+			for _, d := range part {
+				if d < s.k {
+					c++
+				}
+			}
+			cands := NewAppender(c)
+			for v, d := range part {
+				cands = cands.Put(uint32(lo+v), d < s.k)
+			}
+			first[j] = cands.List()
+		})
+	}
+	kern, err := NewKernel(ctx, opts, g.R, g.SubtableSize, first)
+	if err != nil {
+		return nil, err
+	}
 	peeled := pool.NewCounter()
 	logs := make([][]uint32, pool.Workers())
 
@@ -56,9 +79,15 @@ func SubtablesCtx(ctx context.Context, g *hypergraph.Hypergraph, k int, opts Opt
 	// peeled vertex and its live edges dead and logs the edges in its
 	// worker's log. The owner pass then gives each other subtable p one
 	// worker, which decrements every logged edge's position-p endpoint
-	// and enlists it if it fell below k; freed vertices of later
+	// and lists it when its degree falls to k−1; freed vertices of later
 	// subtables can peel later this round, which is why subrounds make
 	// faster progress than rounds.
+	//
+	// Degrees only fall, so under Frontier a vertex is listed at most
+	// once: first if its degree starts below k, later when it falls to
+	// exactly k−1. Each subtable's candidates are thus exactly its live
+	// vertices of degree < k, and the peel hands out n − CoreVertices
+	// candidates in all.
 	err = kern.RunCtx(ctx, nil, func(cands []uint32) int {
 		peeled.Reset()
 		pool.For(len(cands), grain, func(w, lo, hi int) {
@@ -79,15 +108,20 @@ func SubtablesCtx(ctx context.Context, g *hypergraph.Hypergraph, k int, opts Opt
 			logs[w] = log
 			peeled.Add(w, int64(n))
 		})
+		room := 0
+		for _, log := range logs {
+			room += len(log)
+		}
 		kern.ForOtherParts(int(cands[0])/g.SubtableSize, func(p int) {
+			list := kern.Reserve(p, room)
 			for _, log := range logs {
 				for _, e := range log {
 					u := g.Edges[int(e)*g.R+p]
-					if s.deg[u]--; s.deg[u] < s.k {
-						kern.Append(p, u)
-					}
+					s.deg[u]--
+					list = list.Put(u, s.deg[u] == s.k-1)
 				}
 			}
+			kern.Commit(p, list)
 		})
 		for w := range logs {
 			logs[w] = logs[w][:0]

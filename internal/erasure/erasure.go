@@ -271,15 +271,17 @@ func (c *Code) DecodeCtx(ctx context.Context, data []uint64, present []bool, che
 // symbol, zeroes the cell and logs the symbol's index in its worker's
 // log. The owner pass then gives each other subtable p one worker,
 // which subtracts every logged symbol from its subtable-p cell and
-// appends the cell to its subtable's list if its count is now 1, the
-// only count a recoverable cell has.
+// lists the cell on its subtable's list if its count is now 1, the only
+// count a recoverable cell has.
 //
 // Recovery only subtracts, so a cell's count only falls, and a cell is
 // listed when its count is 1: first if it starts there, later when a
-// subtraction leaves it there. Each cell is thus listed at most once,
-// and the kernel keeps no pending marks. Work is proportional to cells
-// + peeling work, like the serial peel, and the round structure
-// matches the paper's analysis (O(log log n) rounds below threshold).
+// subtraction leaves it there. Each cell is thus listed at most once:
+// the kernel keeps no pending marks, and the first lists and the
+// owners' lists are filled with no branch per cell (core.Appender,
+// Kernel.Reserve). Work is proportional to cells + peeling work, like
+// the serial peel, and the round structure matches the paper's
+// analysis (O(log log n) rounds below threshold).
 func (c *Code) decodeRounds(ctx context.Context, work []Cell, data []uint64, present []bool, missing int, pool *parallel.Pool) error {
 	_, err := c.recoverRounds(ctx, work, data, present, missing, pool)
 	return err
@@ -293,20 +295,18 @@ func (c *Code) recoverRounds(ctx context.Context, work []Cell, data []uint64, pr
 	}
 	first := make([][]uint32, c.r)
 	pool.RunRanges(c.r, c.r, func(j, _, _ int) {
-		part := work[j*c.subSize : (j+1)*c.subSize]
-		n := 0
+		// One slot per count-1 cell, and one for the Puts after the last.
+		part, n := work[j*c.subSize:(j+1)*c.subSize], 1
 		for p := range part {
 			if part[p].Count == 1 {
 				n++
 			}
 		}
-		cells := make([]uint32, 0, n)
+		cells := core.NewAppender(n)
 		for p := range part {
-			if part[p].Count == 1 {
-				cells = append(cells, uint32(j*c.subSize+p))
-			}
+			cells = cells.Put(uint32(j*c.subSize+p), part[p].Count == 1)
 		}
-		first[j] = cells
+		first[j] = cells.List()
 	})
 	kern, err := core.NewKernel(ctx, core.Options{Scan: core.Frontier, Pool: pool}, c.r, c.subSize, first)
 	if err != nil {
@@ -327,7 +327,12 @@ func (c *Code) recoverRounds(ctx context.Context, work []Cell, data []uint64, pr
 				logs[w] = append(logs[w], i)
 			}
 		})
+		n := 0
+		for _, log := range logs {
+			n += len(log)
+		}
 		kern.ForOtherParts(int(cells[0])/c.subSize, func(j int) {
+			list := kern.Reserve(j, n)
 			for _, log := range logs {
 				for _, i := range log {
 					q := c.position(i, j)
@@ -335,15 +340,12 @@ func (c *Code) recoverRounds(ctx context.Context, work []Cell, data []uint64, pr
 					work[q].IdxSum ^= uint64(i + 1)
 					work[q].ValueSum ^= data[i]
 					work[q].CheckSum ^= c.checksum(i)
-					if work[q].Count == 1 {
-						kern.Append(j, uint32(q))
-					}
+					list = list.Put(uint32(q), work[q].Count == 1)
 				}
 			}
+			kern.Commit(j, list)
 		})
-		n := 0
 		for w := range logs {
-			n += len(logs[w])
 			logs[w] = logs[w][:0]
 		}
 		recovered += n

@@ -118,7 +118,11 @@
 // (the MPHF sweep marks assigned g bytes and builds its used bitmap
 // from the marks in one word-parallel pass): no serial phase remains
 // in BuildMPHF/BuildStaticMap, and a canceled build stops at the next
-// subround barrier rather than the next phase. Failed builds report
+// subround barrier rather than the next phase. The builders hash keys a
+// chunk at a time (layout.VertexTriples), and release each attempt's
+// peel (core.KeyPeel.Release) once its sweep is done, so the next build
+// reuses the edge list, vertex state and peel order instead of
+// allocating them afresh. Failed builds report
 // the last attempt's 2-core survivor count through ErrMPHFBuildFailed /
 // ErrStaticMapBuildFailed.
 //

@@ -152,11 +152,12 @@ func attemptSeeds(seed uint64, try int) (attemptSeed uint64, hseed [arity]uint64
 // later (see core.OrderedResult). ctx is checked at every subround
 // barrier.
 func buildAttempt(ctx context.Context, keys, values []uint64, attemptSeed uint64, hseed [arity]uint64, m, subSize int, pool *parallel.Pool) (*layout.Image, int, error) {
-	hash := func(x uint64) [arity]uint32 { return layout.VertexTriple(hseed, subSize, x) }
+	hash := func(keys []uint64, edges []uint32) { layout.VertexTriples(hseed, subSize, keys, edges) }
 	edges, ord, err := core.PeelKeys(ctx, keys, subSize, hash, pool)
 	if err != nil {
 		return nil, 0, err
 	}
+	defer ord.Release() // the sweep below is the last reader of edges and ord's segments
 	if !ord.Empty() {
 		return nil, ord.CoreEdges, nil
 	}

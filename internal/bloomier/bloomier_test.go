@@ -1,6 +1,7 @@
 package bloomier
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -273,21 +274,40 @@ func TestBuildWorkersMatchesBuild(t *testing.T) {
 }
 
 // TestConcurrentStaticMapBuildsSharedPool runs builds concurrently on
-// one shared pool.
+// one shared pool, twice each, so that the builds hand their key-peel
+// buffers to one another; each must map its own keys, with the image a
+// serial build makes.
 func TestConcurrentStaticMapBuildsSharedPool(t *testing.T) {
+	const jobs = 6
+	one := parallel.NewPool(1)
+	serial := make([][]byte, jobs)
+	for j := range serial {
+		keys, values := buildInputs(1500+3000*j, uint64(90+j))
+		f, err := BuildCtx(context.Background(), keys, values, DefaultGamma, uint64(7+j), 10, one)
+		if err != nil {
+			t.Fatal(err)
+		}
+		serial[j] = f.Bytes()
+	}
+	one.Close()
 	pool := parallel.NewPool(3)
 	defer pool.Close()
 	group := pool.NewGroup(4)
-	for j := 0; j < 6; j++ {
+	for j := 0; j < jobs; j++ {
 		group.Go(func(p *parallel.Pool) error {
-			keys, values := buildInputs(1500+100*j, uint64(90+j))
-			f, err := BuildCtx(context.Background(), keys, values, DefaultGamma, uint64(7+j), 10, p)
-			if err != nil {
-				return err
-			}
-			for i, k := range keys {
-				if f.Lookup(k) != values[i] {
-					return fmt.Errorf("job %d: wrong value for key %#x", j, k)
+			keys, values := buildInputs(1500+3000*j, uint64(90+j))
+			for range 2 {
+				f, err := BuildCtx(context.Background(), keys, values, DefaultGamma, uint64(7+j), 10, p)
+				if err != nil {
+					return err
+				}
+				if !bytes.Equal(f.Bytes(), serial[j]) {
+					return fmt.Errorf("job %d: image differs from the serial build's", j)
+				}
+				for i, k := range keys {
+					if f.Lookup(k) != values[i] {
+						return fmt.Errorf("job %d: wrong value for key %#x", j, k)
+					}
 				}
 			}
 			return nil

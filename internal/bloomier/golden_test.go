@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"testing"
 
 	"repro/internal/parallel"
@@ -38,4 +39,22 @@ func TestBuildGoldenImages(t *testing.T) {
 		}
 		pool.Close()
 	}
+}
+
+// TestBuildGoldenImagesAfterLargerBuild checks that reused key-peel
+// buffers change no image: a 2^18-key attempt that leaves a 2-core and a
+// 2^18-key build both release buffers larger than the golden builds
+// need, with stale vertex state, edges and order entries in them, and
+// the golden images must still come out.
+func TestBuildGoldenImagesAfterLargerBuild(t *testing.T) {
+	keys, values := buildInputs(1<<18, 7)
+	pool := parallel.NewPool(2)
+	if _, err := BuildCtx(context.Background(), keys, values, 1.1, 42, 1, pool); !errors.Is(err, ErrBuildFailed) {
+		t.Fatalf("γ=1.1: err = %v, want ErrBuildFailed", err)
+	}
+	if _, err := BuildCtx(context.Background(), keys, values, DefaultGamma, 42, 10, pool); err != nil {
+		t.Fatal(err)
+	}
+	pool.Close()
+	TestBuildGoldenImages(t)
 }

@@ -181,7 +181,11 @@ func TestEnginesAgreeOnCore(t *testing.T) {
 				for e := range keys {
 					keys[e] = uint64(e)
 				}
-				hash := func(x uint64) [3]uint32 { return [3]uint32(g.EdgeVertices(int(x))) }
+				hash := func(keys []uint64, edges []uint32) {
+					for i, x := range keys {
+						copy(edges[3*i:3*i+3], g.EdgeVertices(int(x)))
+					}
+				}
 				edges, peel, err := PeelKeys(context.Background(), keys, g.SubtableSize, hash, pool)
 				if err != nil {
 					t.Fatal(err)

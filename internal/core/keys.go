@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 
 	"repro/internal/parallel"
 )
@@ -14,6 +15,40 @@ import (
 type keyVertex struct {
 	cnt int32  // live degree
 	sum uint32 // sum of live edge ids, mod 2^32
+}
+
+// keyScratch holds the three large buffers of a PeelKeys attempt: the
+// edge list, the vertex state and the peel order. KeyPeel.Release hands
+// them to keyScratchPool, and the next attempt reuses them when they are
+// large enough, so a warm build pays neither fresh pages nor their
+// zeroing.
+type keyScratch struct {
+	edges []uint32
+	vs    []keyVertex
+	order []uint32
+}
+
+var keyScratchPool sync.Pool
+
+// getKeyScratch returns scratch whose buffers have the given lengths
+// and arbitrary contents.
+func getKeyScratch(edges, vertices, order int) *keyScratch {
+	s, _ := keyScratchPool.Get().(*keyScratch)
+	if s == nil {
+		s = new(keyScratch)
+	}
+	s.edges = resize(s.edges, edges)
+	s.vs = resize(s.vs, vertices)
+	s.order = resize(s.order, order)
+	return s
+}
+
+// resize returns s with length n, reallocated only if cap(s) < n.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // ErrDuplicateKeys is returned by PeelKeys, and so by the MPHF and
@@ -32,6 +67,9 @@ var ErrDuplicateKeys = errors.New("duplicate keys")
 // it unchanged: it never depends on the order inside a segment. A
 // segment-t edge's free vertex is its endpoint at position (t−1) mod 3.
 // Ordered derives the full OrderedResult.
+//
+// PeelOrder and the edge list PeelKeys returned with the peel live in
+// buffers that Release hands to the next PeelKeys call.
 type KeyPeel struct {
 	// Rounds, Subrounds and SurvivorHistory are as in Result.
 	Rounds          int
@@ -54,7 +92,20 @@ type KeyPeel struct {
 	// at most the vertex count: PeelKeys lists each vertex at most once.
 	Candidates int
 
-	n int // vertices
+	n       int // vertices
+	scratch *keyScratch
+}
+
+// Release hands the peel's buffers, PeelOrder and the edge list PeelKeys
+// returned with it, to the next PeelKeys call, and sets PeelOrder to
+// nil. Neither may be used after it; the round accounting stays valid.
+// A second Release does nothing, and a peel that is never released only
+// forgoes the reuse.
+func (p *KeyPeel) Release() {
+	if p.scratch != nil {
+		keyScratchPool.Put(p.scratch)
+		p.scratch, p.PeelOrder = nil, nil
+	}
 }
 
 // Empty reports whether the peel reached the empty 2-core.
@@ -114,12 +165,19 @@ func (p *KeyPeel) Ordered(edges []uint32) *OrderedResult {
 }
 
 // PeelKeys is one attempt of the hash-and-peel builders (internal/mphf,
-// internal/bloomier): on pool, key i becomes edge i = hash(keys[i]) of a
-// 3-partite hypergraph whose part j holds the subSize vertices
+// internal/bloomier): on pool, key i becomes edge i of a 3-partite
+// hypergraph whose part j holds the subSize vertices
 // [j·subSize, (j+1)·subSize), and the graph is peeled to its 2-core in
-// Appendix B subrounds. hash(x)[j] must lie in part j. PeelKeys returns
-// the edge list — edge e is edges[3e:3e+3] — and the peel, whose
-// segments are subrounds.
+// Appendix B subrounds. PeelKeys returns the edge list — edge e is
+// edges[3e:3e+3] — and the peel, whose segments are subrounds.
+//
+// hash is a batch hash, called once per chunk of keys: hash(ks, es)
+// must write the edge of key ks[i] to es[3i:3i+3], its vertex j in part
+// j (layout.VertexTriples). The edge list, the vertex state and the
+// peel order come from buffers an earlier peel handed back with
+// KeyPeel.Release; each part's degree pass clears its own vertices, and
+// every other entry is written before it is read. A caller that is done
+// with the edge list and the peel should Release it.
 //
 // The peel needs no incidence index. As in IBLT decoding, with edge ids
 // in place of keys, every vertex keeps its live degree and the sum of
@@ -165,25 +223,28 @@ func (p *KeyPeel) Ordered(edges []uint32) *OrderedResult {
 // ErrDuplicateKeys if two are equal. A non-empty core with a nil error
 // means the keys are distinct. The core is counted only when it is
 // non-empty; a successful peel touches no per-edge state but the order.
-func PeelKeys(ctx context.Context, keys []uint64, subSize int, hash func(x uint64) [3]uint32, pool *parallel.Pool) ([]uint32, *KeyPeel, error) {
+func PeelKeys(ctx context.Context, keys []uint64, subSize int, hash func(keys []uint64, edges []uint32), pool *parallel.Pool) ([]uint32, *KeyPeel, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
 	m, n := len(keys), 3*subSize
-	edges := make([]uint32, 3*m)
+	// A subround's scan writes below order[end+len(cands)], end being the
+	// order's length before it. That is at most m + subSize, and at most
+	// n: each earlier candidate released at most one edge, and no vertex
+	// is listed twice.
+	scratch := getKeyScratch(3*m, n, min(n, m+subSize))
+	edges, vs, order := scratch.edges, scratch.vs, scratch.order
 	if err := pool.ForCtx(ctx, m, grain, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			*(*[3]uint32)(edges[3*i:]) = hash(keys[i])
-		}
+		hash(keys[lo:hi], edges[3*lo:3*hi])
 	}); err != nil {
 		return nil, nil, err
 	}
-	vs := make([]keyVertex, n)
 	first := make([][]uint32, 3)
 	// Part j's entries come only from position j of each edge, so one
-	// piece per part needs no atomics. The piece then lists the part's
-	// first candidates.
+	// piece per part clears and counts them with no atomics. The piece
+	// then lists the part's first candidates.
 	if err := pool.RunRangesCtx(ctx, 3, 3, func(j, _, _ int) {
+		clear(vs[j*subSize : (j+1)*subSize])
 		for e := 0; e < m; e++ {
 			v := &vs[edges[3*e+j]]
 			v.cnt++
@@ -210,11 +271,6 @@ func PeelKeys(ctx context.Context, keys []uint64, subSize int, hash func(x uint6
 		return nil, nil, err
 	}
 
-	// A subround's scan writes below order[end+len(cands)], end being the
-	// order's length before it. That is at most m + subSize, and at most
-	// n: each earlier candidate released at most one edge, and no vertex
-	// is listed twice.
-	order := make([]uint32, min(n, m+subSize))
 	end := 0
 	ends := []int{0}
 	freedIn := make([]int, (subSize+grain-1)/grain) // releases per candidate chunk
@@ -270,6 +326,7 @@ func PeelKeys(ctx context.Context, keys []uint64, subSize int, hash func(x uint6
 		RoundStart:      ends[:kern.Subrounds+1],
 		Candidates:      kern.Candidates,
 		n:               n,
+		scratch:         scratch,
 	}
 	if peel.CoreEdges == 0 {
 		return edges, peel, nil

@@ -19,7 +19,7 @@ import (
 
 // keyInstance returns m random keys and the builders' vertex hash for a
 // 3-partite key hypergraph at vertex/key ratio gamma.
-func keyInstance(m int, gamma float64, seed uint64) (keys []uint64, subSize int, hash func(uint64) [3]uint32) {
+func keyInstance(m int, gamma float64, seed uint64) (keys []uint64, subSize int, hash func([]uint64, []uint32)) {
 	gen := rng.New(seed)
 	keys = make([]uint64, m)
 	for i := range keys {
@@ -27,14 +27,14 @@ func keyInstance(m int, gamma float64, seed uint64) (keys []uint64, subSize int,
 	}
 	subSize = int(gamma*float64(m))/3 + 1
 	hseed := [3]uint64{gen.Uint64(), gen.Uint64(), gen.Uint64()}
-	hash = func(x uint64) [3]uint32 { return layout.VertexTriple(hseed, subSize, x) }
+	hash = func(keys []uint64, edges []uint32) { layout.VertexTriples(hseed, subSize, keys, edges) }
 	return keys, subSize, hash
 }
 
 // peelKeys runs PeelKeys on a fresh pool of the given size and also
 // returns the CSR graph of its edge list, for the index-based oracles,
 // and the OrderedResult derived from the peel.
-func peelKeys(t *testing.T, keys []uint64, subSize int, hash func(uint64) [3]uint32, workers int) (*hypergraph.Hypergraph, *KeyPeel, *OrderedResult) {
+func peelKeys(t *testing.T, keys []uint64, subSize int, hash func([]uint64, []uint32), workers int) (*hypergraph.Hypergraph, *KeyPeel, *OrderedResult) {
 	t.Helper()
 	pool := parallel.NewPool(workers)
 	defer pool.Close()
@@ -123,6 +123,64 @@ func TestPeelKeysOrderedPinned(t *testing.T) {
 				t.Errorf("seed %d, γ=%v, %d workers: hashes %v, want %v", pin.seed, pin.gamma, workers, got, want)
 			}
 		}
+	}
+}
+
+// TestPeelKeysReleaseReuse checks that reused buffers change no peel.
+// Before each pinned instance is peeled, a larger one at γ = 1.1 is
+// peeled and released: its 2-core leaves vertex state, edges and order
+// entries behind that a fresh buffer would not hold. The pinned peels
+// must still match their pins at pools 1/2/3/8, and are released in
+// turn, so the larger peel must also repeat itself on their leftovers.
+// A second Release is a no-op.
+func TestPeelKeysReleaseReuse(t *testing.T) {
+	bigKeys, bigSub, bigHash := keyInstance(1<<16, 1.1, 4)
+	var bigRef *OrderedResult
+	reused := 0
+	for _, pin := range keyPeelPins {
+		keys, subSize, hash := keyInstance(1<<14, pin.gamma, pin.seed)
+		for _, workers := range []int{1, 2, 3, 8} {
+			pool := parallel.NewPool(workers)
+			edges, big, err := PeelKeys(context.Background(), bigKeys, bigSub, bigHash, pool)
+			if err != nil || big.Empty() {
+				t.Fatalf("γ=1.1: err %v, empty core %v", err, err == nil && big.Empty())
+			}
+			if ord := big.Ordered(edges); bigRef == nil {
+				bigRef = ord
+			} else if !reflect.DeepEqual(ord, bigRef) {
+				t.Fatalf("%d workers: the γ=1.1 peel changed on reused buffers", workers)
+			}
+			bigEdges := &edges[0]
+			big.Release()
+			big.Release()
+			if big.PeelOrder != nil {
+				t.Fatal("Release left PeelOrder set")
+			}
+			edges, peel, err := PeelKeys(context.Background(), keys, subSize, hash, pool)
+			pool.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if &edges[0] == bigEdges {
+				reused++
+			}
+			ord := peel.Ordered(edges)
+			peel.Release()
+			starts := make([]int64, len(ord.RoundStart))
+			for i, s := range ord.RoundStart {
+				starts[i] = int64(s)
+			}
+			got := [...]string{pinHash(ord.FreeVertex), pinHash(ord.RoundOf), pinHash(ord.PeelOrder),
+				pinHash(starts), pinHash(ord.EdgeAlive), pinHash(ord.VertexAlive)}
+			want := [...]string{pin.freeVertex, pin.roundOf, pin.order, pin.starts, pin.edgeAlive, pin.vertexAlive}
+			if got != want {
+				t.Errorf("seed %d, γ=%v, %d workers, reused buffers: hashes %v, want %v",
+					pin.seed, pin.gamma, workers, got, want)
+			}
+		}
+	}
+	if reused == 0 {
+		t.Error("no peel reused a released edge list")
 	}
 }
 
@@ -290,7 +348,9 @@ func TestPeelKeysCancels(t *testing.T) {
 }
 
 // BenchmarkPeelKeys times the builders' peel, key hashing included, on
-// the 2^17-key MPHF instance at several pool sizes.
+// the 2^17-key MPHF instance at several pool sizes. Each peel is
+// released, as the builders release theirs, so the next one reuses its
+// buffers.
 func BenchmarkPeelKeys(b *testing.B) {
 	keys, subSize, hash := keyInstance(1<<17, 1.23, 1)
 	for _, workers := range []int{1, 2, 4} {
@@ -298,9 +358,11 @@ func BenchmarkPeelKeys(b *testing.B) {
 		b.Run(fmt.Sprintf("W=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, ord, err := PeelKeys(context.Background(), keys, subSize, hash, pool); err != nil || !ord.Empty() {
+				_, ord, err := PeelKeys(context.Background(), keys, subSize, hash, pool)
+				if err != nil || !ord.Empty() {
 					b.Fatalf("peel failed: %v", err)
 				}
+				ord.Release()
 			}
 		})
 		pool.Close()

@@ -83,17 +83,20 @@ func RunBuildPath(cfg BuildPathConfig) []BuildPathRow {
 			keys[i] = gen.Uint64()
 		}
 		hseed := [layout.Arity]uint64{gen.Uint64(), gen.Uint64(), gen.Uint64()}
-		hash := func(x uint64) [layout.Arity]uint32 { return layout.VertexTriple(hseed, subSize, x) }
-		peel := func(pool *parallel.Pool) []uint32 {
-			edges, _, err := core.PeelKeys(context.Background(), keys, subSize, hash, pool)
-			return must(edges, err)
+		hash := func(keys []uint64, edges []uint32) { layout.VertexTriples(hseed, subSize, keys, edges) }
+		// The timed peels release their buffers, as the builders do; g
+		// keeps the edge list of a peel that is never released.
+		peel := func(pool *parallel.Pool) *core.KeyPeel {
+			_, p, err := core.PeelKeys(context.Background(), keys, subSize, hash, pool)
+			return must(p, err)
 		}
-		g := hypergraph.FromEdges(3*subSize, 3, peel(wPool), subSize)
+		edges, _, err := core.PeelKeys(context.Background(), keys, subSize, hash, wPool)
+		g := hypergraph.FromEdges(3*subSize, 3, must(edges, err), subSize)
 		rows = append(rows, BuildPathRow{
 			Keys:     m,
 			SeqPeel:  best(func() { core.Sequential(g, 2) }),
-			KeyPeel1: best(func() { peel(onePool) }),
-			KeyPeelW: best(func() { peel(wPool) }),
+			KeyPeel1: best(func() { peel(onePool).Release() }),
+			KeyPeelW: best(func() { peel(wPool).Release() }),
 			BuildW: best(func() {
 				must(mphf.BuildCtx(context.Background(), keys, cfg.Gamma, cfg.Seed, 10, wPool))
 			}),

@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/parallel"
+	"repro/internal/recurrence"
 	"repro/internal/rng"
 )
 
@@ -395,5 +396,40 @@ func TestInsertAllWithPoolDecodes(t *testing.T) {
 	}
 	if _, _, ok := tb2.Decode(); !ok {
 		t.Fatal("insert+delete with pool should leave an empty table")
+	}
+}
+
+// TestDecodeSubroundsMatchRecurrence is the paper's round bound as an
+// oracle on the server's decoder: the frontier decode of 2^17 keys in a
+// 3-hash table ends within 4 subrounds of the count the Appendix B
+// recurrence predicts for its load, keys/cells edges per vertex on the
+// table's cells, from far below the threshold c*(2,3) ≈ 0.818 to just
+// below it.
+func TestDecodeSubroundsMatchRecurrence(t *testing.T) {
+	if raceEnabled {
+		t.Skip("twelve 2^17-key decodes take ~40 s under the race detector; the oracle is a count, not a race")
+	}
+	const keys = 1 << 17
+	pool := parallel.NewPool(2)
+	defer pool.Close()
+	for _, load := range []float64{0.6, 0.7, 0.75, 0.8} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			tb := New(int(keys/load), 3, seed)
+			if err := tb.InsertAllCtx(context.Background(), randomKeys(keys, seed), pool); err != nil {
+				t.Fatal(err)
+			}
+			c := float64(keys) / float64(tb.Cells())
+			want, ok, err := recurrence.Params{K: 2, R: 3, C: c}.PredictSubrounds(float64(tb.Cells()), 200)
+			if err != nil || !ok {
+				t.Fatalf("load %v: no prediction (ok %v, err %v)", load, ok, err)
+			}
+			res, err := tb.DecodeParallelFrontierCtx(context.Background(), pool)
+			if err != nil || !res.Complete || len(res.Added) != keys {
+				t.Fatalf("load %v seed %d: decode failed (err %v, complete %v)", load, seed, err, res != nil && res.Complete)
+			}
+			if d := res.Subrounds - want; d < -4 || d > 4 {
+				t.Errorf("load %v seed %d: %d subrounds, recurrence predicts %d (tolerance 4)", load, seed, res.Subrounds, want)
+			}
+		}
 	}
 }

@@ -121,13 +121,35 @@ type Image struct {
 // kind: key x selects one vertex per part, part j drawn by
 // multiply-shift from Mix64(x ^ hseed[j]). It is part of the format
 // contract — builders and lookups must agree on it byte for byte.
+// VertexTriples applies the same rule to a batch of keys.
 func VertexTriple(hseed [Arity]uint64, subSize int, x uint64) [Arity]uint32 {
-	var vs [Arity]uint32
-	for j := 0; j < Arity; j++ {
-		h := rng.Mix64(x ^ hseed[j])
-		vs[j] = uint32(j*subSize) + uint32((h>>32)*uint64(subSize)>>32)
+	s := uint64(subSize)
+	return [Arity]uint32{
+		vertexIn(x, hseed[0], s),
+		uint32(subSize) + vertexIn(x, hseed[1], s),
+		uint32(2*subSize) + vertexIn(x, hseed[2], s),
 	}
-	return vs
+}
+
+// VertexTriples writes VertexTriple(hseed, subSize, keys[i]) to
+// edges[3i:3i+3] for every i: the builders' batch form of the rule,
+// called once per chunk of keys instead of once per key. edges must
+// hold at least 3·len(keys) entries.
+func VertexTriples(hseed [Arity]uint64, subSize int, keys []uint64, edges []uint32) {
+	s := uint64(subSize)
+	o1, o2 := uint32(subSize), uint32(2*subSize)
+	edges = edges[:Arity*len(keys)]
+	for i, x := range keys {
+		e := edges[Arity*i : Arity*i+Arity : Arity*i+Arity]
+		e[0] = vertexIn(x, hseed[0], s)
+		e[1] = o1 + vertexIn(x, hseed[1], s)
+		e[2] = o2 + vertexIn(x, hseed[2], s)
+	}
+}
+
+// vertexIn is key x's vertex within a part of subSize s drawn with seed.
+func vertexIn(x, seed, s uint64) uint32 {
+	return uint32((rng.Mix64(x^seed) >> 32) * s >> 32)
 }
 
 // MinGamma and MaxGamma bound the vertex/key ratio γ the builders

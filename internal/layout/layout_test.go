@@ -7,6 +7,8 @@ import (
 	"math"
 	"testing"
 	"unsafe"
+
+	"repro/internal/rng"
 )
 
 // testBloomier builds a tiny sealed Bloomier image by hand.
@@ -227,6 +229,40 @@ func TestVertexTripleInParts(t *testing.T) {
 		for j, v := range vs {
 			if v < uint32(j*subSize) || v >= uint32((j+1)*subSize) {
 				t.Fatalf("key %d part %d: vertex %d out of part", x, j, v)
+			}
+		}
+	}
+}
+
+// TestVertexTriplesMatchVertexTriple checks the builders' batch hash
+// against the serve-time rule, and both against the rule as the format
+// states it (part j from Mix64(x ^ hseed[j]) by multiply-shift), at
+// subSizes from the smallest to the largest SubSize allows, on random
+// keys and on chunk lengths that are not multiples of anything.
+func TestVertexTriplesMatchVertexTriple(t *testing.T) {
+	gen := rng.New(30)
+	keys := []uint64{0, 1, math.MaxUint64, 1 << 63}
+	for len(keys) < 5000 {
+		keys = append(keys, gen.Uint64())
+	}
+	hseed := [Arity]uint64{gen.Uint64(), gen.Uint64(), gen.Uint64()}
+	for _, subSize := range []int{2, 3, 53740, 1 << 20, 1<<31 - 1, (1<<32 - 1) / 3} {
+		edges := make([]uint32, Arity*len(keys))
+		for lo := 0; lo < len(keys); lo += 777 {
+			hi := min(lo+777, len(keys))
+			VertexTriples(hseed, subSize, keys[lo:hi], edges[Arity*lo:Arity*hi])
+		}
+		for i, x := range keys {
+			var want [Arity]uint32
+			for j := range want {
+				h := rng.Mix64(x ^ hseed[j])
+				want[j] = uint32(j*subSize) + uint32((h>>32)*uint64(subSize)>>32)
+			}
+			if got := VertexTriple(hseed, subSize, x); got != want {
+				t.Fatalf("subSize %d, key %#x: VertexTriple = %v, want %v", subSize, x, got, want)
+			}
+			if got := [Arity]uint32(edges[Arity*i:]); got != want {
+				t.Fatalf("subSize %d, key %#x: VertexTriples = %v, want %v", subSize, x, got, want)
 			}
 		}
 	}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
+	"runtime"
 	"testing"
 
 	"repro/internal/parallel"
@@ -36,5 +38,51 @@ func TestBuildGoldenImages(t *testing.T) {
 			}
 		}
 		pool.Close()
+	}
+}
+
+// TestBuildGoldenImagesAfterLargerBuild checks that reused key-peel
+// buffers change no image: a 2^18-key attempt that leaves a 2-core and a
+// 2^18-key build both release buffers larger than the golden builds
+// need, with stale vertex state, edges and order entries in them, and
+// the golden images must still come out.
+func TestBuildGoldenImagesAfterLargerBuild(t *testing.T) {
+	keys := randomKeys(1<<18, 7)
+	pool := parallel.NewPool(2)
+	if _, err := BuildCtx(context.Background(), keys, 1.1, 42, 1, pool); !errors.Is(err, ErrBuildFailed) {
+		t.Fatalf("γ=1.1: err = %v, want ErrBuildFailed", err)
+	}
+	if _, err := BuildCtx(context.Background(), keys, DefaultGamma, 42, 10, pool); err != nil {
+		t.Fatal(err)
+	}
+	pool.Close()
+	TestBuildGoldenImages(t)
+}
+
+// TestBuildWarmAllocs is the allocation guard of a warm build: once an
+// earlier build has released its key-peel buffers, a 2^17-key build
+// allocates at most 1.5 MB (the image and the kernel's lists), not the
+// 4.3 MB it took with fresh buffers. The minimum of five builds is
+// taken, since a garbage collection may empty the buffer pool.
+func TestBuildWarmAllocs(t *testing.T) {
+	keys := randomKeys(1<<17, 1)
+	pool := parallel.NewPool(2)
+	defer pool.Close()
+	build := func() {
+		if _, err := BuildCtx(context.Background(), keys, DefaultGamma, 42, 10, pool); err != nil {
+			t.Fatal(err)
+		}
+	}
+	build()
+	least := ^uint64(0)
+	for range 5 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		build()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least > 1536<<10 {
+		t.Errorf("warm 2^17-key build allocated %d bytes, want ≤ 1.5 MB", least)
 	}
 }

@@ -1,6 +1,7 @@
 package mphf
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -267,25 +268,44 @@ func TestBuildWorkersMatchesBuild(t *testing.T) {
 }
 
 // TestConcurrentBuildsSharedPool runs several MPHF builds concurrently
-// on one shared pool; each must be a valid MPHF over its own key set.
+// on one shared pool, twice each, so that the builds hand their key-peel
+// buffers to one another; each must be a valid MPHF over its own key
+// set, with the image a serial build makes.
 func TestConcurrentBuildsSharedPool(t *testing.T) {
+	const jobs = 6
+	keys := func(j int) []uint64 { return randomKeys(2000+3000*j, uint64(80+j)) }
+	one := parallel.NewPool(1)
+	serial := make([][]byte, jobs)
+	for j := range serial {
+		f, err := BuildCtx(context.Background(), keys(j), DefaultGamma, uint64(7+j), 10, one)
+		if err != nil {
+			t.Fatal(err)
+		}
+		serial[j] = f.Bytes()
+	}
+	one.Close()
 	pool := parallel.NewPool(3)
 	defer pool.Close()
 	group := pool.NewGroup(0)
-	for j := 0; j < 6; j++ {
+	for j := 0; j < jobs; j++ {
 		group.Go(func(p *parallel.Pool) error {
-			keys := randomKeys(2000+100*j, uint64(80+j))
-			f, err := BuildCtx(context.Background(), keys, DefaultGamma, uint64(7+j), 10, p)
-			if err != nil {
-				return err
-			}
-			seen := make([]bool, f.Keys())
-			for _, k := range keys {
-				v := f.Lookup(k)
-				if v < 0 || v >= f.Keys() || seen[v] {
-					return fmt.Errorf("job %d: lookup not a bijection at key %#x", j, k)
+			keys := keys(j)
+			for range 2 {
+				f, err := BuildCtx(context.Background(), keys, DefaultGamma, uint64(7+j), 10, p)
+				if err != nil {
+					return err
 				}
-				seen[v] = true
+				if !bytes.Equal(f.Bytes(), serial[j]) {
+					return fmt.Errorf("job %d: image differs from the serial build's", j)
+				}
+				seen := make([]bool, f.Keys())
+				for _, k := range keys {
+					v := f.Lookup(k)
+					if v < 0 || v >= f.Keys() || seen[v] {
+						return fmt.Errorf("job %d: lookup not a bijection at key %#x", j, k)
+					}
+					seen[v] = true
+				}
 			}
 			return nil
 		})

@@ -350,7 +350,13 @@ func (c *conn) serveRequest(typ byte, id uint64, payload []byte) {
 
 	_, err := c.s.rt.TryGo(ctx, func(ctx context.Context, pool *repro.WorkerPool) error {
 		defer cancel()
-		rtyp, rpayload, herr := c.s.dispatch(ctx, pool, typ, payload)
+		// Parsing is the frame's last use. The closure drops its
+		// reference, so the frame (up to MaxFrame bytes) can be
+		// collected during the job for as long as anything holds the
+		// closure.
+		frame := payload
+		payload = nil
+		rtyp, rpayload, herr := c.s.dispatch(ctx, pool, typ, frame)
 		if werr := c.reply(id, rtyp, rpayload); werr != nil && herr == nil {
 			herr = werr
 		}

@@ -294,6 +294,43 @@ func TestFrontierWorkBound(t *testing.T) {
 	}
 }
 
+// TestPendingBitsAtPartEdges runs Parallel, whose kernel has one part of
+// n vertices, at n = 1, 63, 64, 65 and 127, so that the pending bits end
+// inside a word, at its end, or one or 63 vertices past it. Under
+// Frontier the peel must agree with FullScan and Sequential at pools of
+// 1, 2, 3 and 8 workers, and stay within the work bound N + (R−1)·M,
+// which a lost pending bit would break by listing a vertex twice.
+func TestPendingBitsAtPartEdges(t *testing.T) {
+	for _, workers := range []int{1, 2, 3, 8} {
+		pool := parallel.NewPool(workers)
+		for _, n := range []int{1, 63, 64, 65, 127} {
+			for _, c := range []float64{0.7, 0.9} {
+				for seed := uint64(1); seed <= 4; seed++ {
+					g := hypergraph.FromEdges(1, 2, nil, 0)
+					if n > 1 {
+						g = uniformGraph(n, int(c*float64(n)), 3, seed+uint64(n))
+					}
+					seq := Sequential(g, 2)
+					front := Parallel(g, 2, Options{Pool: pool})
+					full := Parallel(g, 2, Options{Scan: FullScan, Pool: pool})
+					if !reflect.DeepEqual(front.VertexAlive, seq.VertexAlive) || !reflect.DeepEqual(front.EdgeAlive, seq.EdgeAlive) ||
+						!reflect.DeepEqual(full.VertexAlive, seq.VertexAlive) {
+						t.Errorf("W=%d n=%d c=%v seed %d: core differs from Sequential", workers, n, c, seed)
+					}
+					if front.Rounds != full.Rounds || !reflect.DeepEqual(front.SurvivorHistory, full.SurvivorHistory) {
+						t.Errorf("W=%d n=%d c=%v seed %d: Frontier history %v, FullScan %v",
+							workers, n, c, seed, front.SurvivorHistory, full.SurvivorHistory)
+					}
+					if bound := g.N + (g.R-1)*g.M; front.Candidates > bound {
+						t.Errorf("W=%d n=%d c=%v seed %d: %d candidates, bound %d", workers, n, c, seed, front.Candidates, bound)
+					}
+				}
+			}
+		}
+		pool.Close()
+	}
+}
+
 func TestParallelDeterministic(t *testing.T) {
 	g := uniformGraph(30000, 21000, 4, 21)
 	a := Parallel(g, 2, Options{})

@@ -68,6 +68,12 @@ const grain = 2048
 // Commit. A consumer on the default seed (the IBLT decoder, whose cells
 // can turn peelable more than once) calls Append, which checks and sets
 // the item's pending mark.
+//
+// A pending mark is one bit per item, and each part's bits start at a
+// word boundary, so owners of different parts never write one word: a
+// 2^17-key decode keeps 22 KB of marks, not 0.7 MB. A part's set bits
+// are exactly the items on its list, so take clears the part's words
+// when it hands the list out, with no per-item pass.
 type Kernel struct {
 	pool      *parallel.Pool
 	maxRounds int
@@ -78,7 +84,8 @@ type Kernel struct {
 
 	all     []uint32   // 0..n-1: the FullScan candidates and the default Frontier seed
 	lists   []list     // Frontier: each part's candidates; FullScan: owners' scratch
-	pending []uint32   // default Frontier seed: pending[x] != 0 while x is listed
+	pending []uint64   // default Frontier seed: x's bit is set while x is listed
+	words   int        // default Frontier seed: pending words per part
 	shards  []list     // default Frontier seed: worker w's scan enlists
 	picks   [][]uint32 // select-pass shards, [worker]
 	picked  []uint32   // the select pass's merged output
@@ -118,7 +125,8 @@ type list struct {
 // such as a vertex whose degree only falls; NewAppender fills such a
 // list without a branch per item. With nil first lists every item is a
 // first candidate, an owner lists items with Append, and an item
-// enlisted again while listed is suppressed. FullScan ignores first.
+// enlisted again while listed is suppressed by its pending mark: one
+// bit per item, ⌈partSize/64⌉ words per part. FullScan ignores first.
 func NewKernel(ctx context.Context, opts Options, parts, partSize int, first [][]uint32) (*Kernel, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -143,18 +151,23 @@ func NewKernel(ctx context.Context, opts Options, parts, partSize int, first [][
 			}
 			return k, nil
 		}
-		k.pending = make([]uint32, n)
+		k.words = (partSize + 63) / 64
+		k.pending = make([]uint64, parts*k.words)
+		for j := range parts {
+			marks := k.pending[j*k.words : (j+1)*k.words]
+			for i := range marks {
+				marks[i] = ^uint64(0)
+			}
+			if tail := partSize % 64; tail != 0 {
+				marks[len(marks)-1] = 1<<tail - 1
+			}
+		}
 		k.shards = make([]list, pool.Workers())
 	}
 	k.all = make([]uint32, n)
 	pool.For(n, grain, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			k.all[i] = uint32(i)
-		}
-		if k.pending != nil {
-			for i := lo; i < hi; i++ {
-				k.pending[i] = 1
-			}
 		}
 	})
 	if !k.full {
@@ -173,15 +186,20 @@ func (k *Kernel) Round() int { return k.round }
 
 // Enlist makes x a candidate of its part's next subround, from a scan:
 // under the default seed it lists x unless x is already listed, taking
-// x's pending mark with a compare-and-swap, and under FullScan, where
-// every subround visits its whole part, it does nothing. Call it from
-// worker w's chunks only (or with w = 0 outside any pool.For).
+// x's pending bit with an atomic OR (two workers may enlist items that
+// share a word), and under FullScan, where every subround visits its
+// whole part, it does nothing. Call it from worker w's chunks only (or
+// with w = 0 outside any pool.For).
 func (k *Kernel) Enlist(w int, x uint32) {
 	if k.pending == nil {
 		return
 	}
-	if atomic.LoadUint32(&k.pending[x]) != 0 ||
-		!atomic.CompareAndSwapUint32(&k.pending[x], 0, 1) {
+	p := 0
+	if k.parts > 1 {
+		p = int(x) / k.partSize
+	}
+	word, bit := k.mark(p, x)
+	if atomic.LoadUint64(word)&bit != 0 || atomic.OrUint64(word, bit)&bit != 0 {
 		return
 	}
 	k.shards[w].xs = append(k.shards[w].xs, x)
@@ -191,15 +209,27 @@ func (k *Kernel) Enlist(w int, x uint32) {
 // subround, from part p's owner in ForOtherParts and from nowhere else,
 // on a kernel with the default seed. The owner is the part's one
 // writer, so x goes straight onto the part's list, unless x is already
-// listed; its pending mark is a plain load and store. Under FullScan it
-// does nothing. A kernel built with first lists keeps no marks: its
-// owners list with Reserve, Put and Commit.
+// listed. Its pending bit lies in a word of part p's own, so the owner
+// tests and sets it with a plain load and store. Under FullScan it does
+// nothing. A kernel built with first lists keeps no marks: its owners
+// list with Reserve, Put and Commit.
 func (k *Kernel) Append(p int, x uint32) {
-	if k.full || k.pending[x] != 0 {
+	if k.full {
 		return
 	}
-	k.pending[x] = 1
+	word, bit := k.mark(p, x)
+	if *word&bit != 0 {
+		return
+	}
+	*word |= bit
 	k.lists[p].xs = append(k.lists[p].xs, x)
+}
+
+// mark returns the word holding the pending bit of x, an item of part
+// p, and the bit within it.
+func (k *Kernel) mark(p int, x uint32) (*uint64, uint64) {
+	i := int(x) - p*k.partSize
+	return &k.pending[p*k.words+i>>6], 1 << (i & 63)
 }
 
 // An Appender fills a candidate list that lists each item at most once,
@@ -297,13 +327,10 @@ func (k *Kernel) RunCtx(ctx context.Context, sel func(cands, out []uint32) []uin
 			k.Candidates += len(items)
 			if sel != nil {
 				k.pool.For(len(items), grain, func(w, lo, hi int) {
-					k.unlist(items[lo:hi])
 					k.picks[w] = sel(items[lo:hi], k.picks[w])
 				})
 				k.picked = drain(k.picked[:0], k.picks)
 				items = k.picked
-			} else {
-				k.unlist(items)
 			}
 			n := 0
 			if len(items) > 0 {
@@ -335,25 +362,22 @@ func (k *Kernel) part(j int) []uint32 {
 // is handed out whole and its storage reused for the next list, which
 // is only written after the subround's last read of it: by the owner
 // passes of other parts' subrounds, or by merge at the barrier.
+//
+// Under the default seed, part j's set pending bits are exactly the
+// items on its list (merge has emptied the shards), so take unlists
+// them all by clearing the part's words. That happens before the
+// subround's first removal, so every item a removal touches is listed
+// for a later subround.
 func (k *Kernel) take(j int) []uint32 {
 	if k.full {
 		return k.part(j)
 	}
 	cands := k.lists[j].xs
 	k.lists[j].xs = cands[:0]
+	if k.pending != nil {
+		clear(k.pending[j*k.words : (j+1)*k.words])
+	}
 	return cands
-}
-
-// unlist clears the pending marks of taken candidates, so peeling can
-// enlist them again. It runs before the subround's first removal, so
-// every item a removal touches is listed for a later subround.
-func (k *Kernel) unlist(items []uint32) {
-	if k.pending == nil {
-		return
-	}
-	for _, x := range items {
-		k.pending[x] = 0
-	}
 }
 
 // merge moves every worker's enlist shard into the part lists at the

@@ -72,10 +72,11 @@ const (
 	// listener-level failure modes.
 	ServerAccept = "server.accept"
 	// ServerFrameTorn fires (via FireErr) in the server's frame writer
-	// with the encoded frame bytes as argument: a returned error makes
-	// the server write only a prefix of the frame and then kill the
-	// connection — exactly what a crash mid-send looks like to the
-	// client, which must treat the torn frame as connection loss.
+	// with the frame as argument, a net.Buffers of its header and
+	// payload: a returned error makes the server write only the first
+	// half of the frame's bytes and then kill the connection — exactly
+	// what a crash mid-send looks like to the client, which must treat
+	// the torn frame as connection loss.
 	ServerFrameTorn = "server.frame.torn"
 	// ServerHandlerPanic fires at the head of every request handler with
 	// the op code as argument; a panicking callback exercises the

@@ -2,18 +2,36 @@ package iblt
 
 import (
 	"context"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/parallel"
 )
 
-// ParallelResult reports a parallel decode.
+// ParallelResult reports a parallel decode. Added and Removed share one
+// buffer (see recoveryShards) and are capacity-capped, so appending to
+// one never writes into the other.
 type ParallelResult struct {
-	Added     []uint64
-	Removed   []uint64
-	Rounds    int  // full rounds executed that recovered at least one key
-	Subrounds int  // productive subrounds (last subround that recovered a key)
-	Complete  bool // table fully decoded
+	Added    []uint64
+	Removed  []uint64
+	Rounds   int  // full rounds executed that recovered at least one key
+	Complete bool // table fully decoded
+
+	// Subrounds is the index of the last productive subround, counted
+	// across rounds (r per round): the subround that recovered the last
+	// key. The silent subrounds after it are not counted.
+	//
+	// recurrence.PredictSubrounds counts something else: the subrounds
+	// until the expected number of surviving cells, summed over all r
+	// subtables, falls below 1/2. The recurrence refreshes a subtable's
+	// survivors only at that subtable's own subround, so its sum still
+	// holds the other r−1 subtables' counts from before their last turn,
+	// while the decoder has already deleted the recovered keys from
+	// those cells. The sum thus falls below 1/2 only r−1 subrounds after
+	// the freshest subtable's expected survivors do, and one more when
+	// it ends just above 1/2 (0.54 at load 0.75). So at r = 3 the
+	// decoder reads 2–4 below the prediction, never above.
+	Subrounds int
 
 	// Candidates is the number of cells the subround scans examined,
 	// summed over every subround run: at most Cells() + r·keys under
@@ -57,31 +75,65 @@ func (t *Table) DecodeParallelFrontierCtx(ctx context.Context, pool *parallel.Po
 // subround barrier drains every shard — no mutex in the scan, and no
 // allocation after the first subround. The buffers belong to the decode
 // call, so concurrent decode jobs sharing one pool never collide.
+//
+// The shards drain into keys, the one buffer that holds every recovered
+// key: added keys from its front, removed keys from its back, last
+// first. It is sized to Cells(), as a valid table recovers at most
+// Cells() keys, and a valid table's decode never regrows it. A crafted
+// table that cycles can overshoot by less than one subtable, since the
+// cycle guard runs before each subround and a subround recovers at most
+// one key per cell of its subtable; its last drain grows keys once.
 type recoveryShards struct {
 	added   [][]uint64
 	removed [][]uint64
+
+	keys             []uint64
+	nadded, nremoved int
 }
 
-func newRecoveryShards(workers int) *recoveryShards {
+func newRecoveryShards(workers, keys int) *recoveryShards {
 	return &recoveryShards{
 		added:   make([][]uint64, workers),
 		removed: make([][]uint64, workers),
+		keys:    make([]uint64, keys),
 	}
 }
 
-// drainInto appends every shard to the result, returning the number of
-// keys recovered since the last drain, and resets the shards (keeping
+// recovered returns the number of keys drained so far.
+func (s *recoveryShards) recovered() int { return s.nadded + s.nremoved }
+
+// drain moves every shard into keys, returning the number of keys
+// recovered since the last drain, and resets the shards (keeping
 // capacity).
-func (s *recoveryShards) drainInto(res *ParallelResult) int {
+func (s *recoveryShards) drain() int {
 	got := 0
 	for w := range s.added {
 		got += len(s.added[w]) + len(s.removed[w])
-		res.Added = append(res.Added, s.added[w]...)
-		res.Removed = append(res.Removed, s.removed[w]...)
+	}
+	if n := s.recovered() + got; n > len(s.keys) {
+		keys := make([]uint64, n)
+		copy(keys, s.keys[:s.nadded])
+		copy(keys[n-s.nremoved:], s.keys[len(s.keys)-s.nremoved:])
+		s.keys = keys
+	}
+	for w := range s.added {
+		s.nadded += copy(s.keys[s.nadded:], s.added[w])
+		for _, x := range s.removed[w] {
+			s.nremoved++
+			s.keys[len(s.keys)-s.nremoved] = x
+		}
 		s.added[w] = s.added[w][:0]
 		s.removed[w] = s.removed[w][:0]
 	}
 	return got
+}
+
+// result sets res.Added and res.Removed to their parts of keys, each in
+// recovery order.
+func (s *recoveryShards) result(res *ParallelResult) {
+	res.Added = s.keys[:s.nadded:s.nadded]
+	res.Removed = s.keys[len(s.keys)-s.nremoved:]
+	slices.Reverse(res.Removed)
 }
 
 // decodeCtx is the parallel decoder: the subround peel of Appendix B on
@@ -98,10 +150,11 @@ func (s *recoveryShards) drainInto(res *ParallelResult) int {
 // worker's recovery shard. The owner pass then gives each other
 // subtable p one worker, which deletes every logged key from its
 // subtable-p cell and appends the cell to its subtable's list if its
-// count is now ±1; the shards then drain into the result. A deletion
-// can move a count either way, so a cell can return to ±1 while listed:
-// the decoder keeps the kernel's default seed, whose pending marks keep
-// a listed cell from being listed again.
+// count is now ±1; the shards then drain into one result buffer sized
+// up front (see recoveryShards), as the paper's GPU recovery writes its
+// output. A deletion can move a count either way, so a cell can return
+// to ±1 while listed: the decoder keeps the kernel's default seed, whose
+// pending bits keep a listed cell from being listed again.
 //
 // A valid table releases each cell at most once, so, like Decode, the
 // decoder stops once it has recovered Cells() keys: a crafted table can
@@ -122,10 +175,9 @@ func (t *Table) decodeCtx(ctx context.Context, scan core.ScanPolicy, pool *paral
 	if err != nil {
 		return nil, err
 	}
-	res := &ParallelResult{}
-	shards := newRecoveryShards(pool.Workers())
+	shards := newRecoveryShards(pool.Workers(), t.Cells())
 	err = kern.RunCtx(ctx, nil, func(cells []uint32) int {
-		if len(res.Added)+len(res.Removed) >= t.Cells() {
+		if shards.recovered() >= t.Cells() {
 			return 0 // a crafted table that cycles; see Decode
 		}
 		pool.For(len(cells), 512, func(w, lo, hi int) {
@@ -159,12 +211,13 @@ func (t *Table) decodeCtx(ctx context.Context, scan core.ScanPolicy, pool *paral
 				}
 			}
 		})
-		return shards.drainInto(res)
+		return shards.drain()
 	})
 	if err != nil {
 		return nil, err
 	}
-	res.Rounds, res.Subrounds, res.Candidates = kern.Rounds, kern.Subrounds, kern.Candidates
+	res := &ParallelResult{Rounds: kern.Rounds, Subrounds: kern.Subrounds, Candidates: kern.Candidates}
+	shards.result(res)
 	res.Complete = t.empty()
 	return res, nil
 }

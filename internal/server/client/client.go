@@ -346,7 +346,7 @@ func (c *Client) roundTrip(ctx context.Context, op byte, payload []byte) (reply,
 	}
 }
 
-// appendFrame mirrors the server's frame builder.
+// appendFrame appends one frame in the server's wire format to buf.
 func appendFrame(buf []byte, typ byte, id uint64, payload []byte) []byte {
 	n := uint32(1 + 8 + len(payload))
 	buf = append(buf, byte(n), byte(n>>8), byte(n>>16), byte(n>>24), typ)

@@ -209,14 +209,12 @@ func readFrame(r io.Reader, maxFrame int) (typ byte, id uint64, payload []byte, 
 	return body[0], binary.LittleEndian.Uint64(body[1:9]), body[9:], nil
 }
 
-// appendFrame appends one encoded frame to buf and returns it — the
-// frame is built contiguously so the writer can hand the kernel a
-// single Write (no torn frame on a clean path).
-func appendFrame(buf []byte, typ byte, id uint64, payload []byte) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(frameOverhead+len(payload)))
+// appendFrameHeader appends the header of a frame whose payload is n
+// bytes long: its length prefix, type and request id.
+func appendFrameHeader(buf []byte, typ byte, id uint64, n int) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(frameOverhead+n))
 	buf = append(buf, typ)
-	buf = binary.LittleEndian.AppendUint64(buf, id)
-	return append(buf, payload...)
+	return binary.LittleEndian.AppendUint64(buf, id)
 }
 
 // wireReader is an error-sticky bounds-checked cursor over a payload:

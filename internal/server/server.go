@@ -277,8 +277,15 @@ type conn struct {
 	cancel context.CancelFunc
 
 	writeMu sync.Mutex
-	wbuf    []byte
 	dead    bool // a torn write poisoned the stream; no further writes
+
+	// The frame being written, guarded by writeMu and held here so that
+	// writing one allocates nothing: hdr is its header, iov its header
+	// and payload, and frame the part of iov not yet written. iov drops
+	// the payload once the write returns.
+	hdr   [4 + frameOverhead]byte
+	iov   [2][]byte
+	frame net.Buffers
 }
 
 // run is the connection's read loop. A panic here kills only this
@@ -538,35 +545,41 @@ func (c *conn) goAway() {
 	c.nc.SetWriteDeadline(time.Time{})
 }
 
-// writeFrame builds the frame contiguously and hands the kernel a
-// single Write, under the connection's write mutex — concurrent
-// handlers never interleave frame bytes.
+// writeFrame writes one frame under the connection's write mutex —
+// concurrent handlers never interleave frame bytes.
 func (c *conn) writeFrame(typ byte, id uint64, payload []byte) error {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
 	return c.writeFrameLocked(typ, id, payload)
 }
 
-// writeFrameLocked is writeFrame with c.writeMu already held.
+// writeFrameLocked is writeFrame with c.writeMu already held. The
+// header and the payload go out in one vectored write (writev on a TCP
+// connection; net.Buffers writes them in turn elsewhere), so the
+// payload is never copied and the connection keeps no buffer the size
+// of its largest reply.
 func (c *conn) writeFrameLocked(typ byte, id uint64, payload []byte) error {
 	if c.dead {
 		return net.ErrClosed
 	}
-	c.wbuf = appendFrame(c.wbuf[:0], typ, id, payload)
+	hdr := appendFrameHeader(c.hdr[:0], typ, id, len(payload))
+	c.iov = [2][]byte{hdr, payload}
+	defer clear(c.iov[:])
+	c.frame = c.iov[:]
 	if faultinject.Enabled {
-		// Failpoint: an error tears the frame — only a prefix reaches
-		// the wire, then the connection dies, exactly like a crash
-		// mid-send. The stream is poisoned; no further writes.
-		if ferr := faultinject.FireErr(faultinject.ServerFrameTorn, c.wbuf); ferr != nil {
+		// Failpoint: an error tears the frame — only its first half
+		// reaches the wire, then the connection dies, exactly like a
+		// crash mid-send. The stream is poisoned; no further writes.
+		if ferr := faultinject.FireErr(faultinject.ServerFrameTorn, c.frame); ferr != nil {
 			c.dead = true
-			if len(c.wbuf) > 1 {
-				c.nc.Write(c.wbuf[:len(c.wbuf)/2])
-			}
+			half := (len(hdr) + len(payload)) / 2
+			torn := net.Buffers{hdr[:min(half, len(hdr))], payload[:max(half-len(hdr), 0)]}
+			torn.WriteTo(c.nc)
 			c.nc.Close()
 			return ferr
 		}
 	}
-	if _, err := c.nc.Write(c.wbuf); err != nil {
+	if _, err := c.frame.WriteTo(c.nc); err != nil {
 		c.dead = true
 		return err
 	}

@@ -58,6 +58,12 @@ func dialRaw(t *testing.T, addr string) net.Conn {
 	return nc
 }
 
+// appendFrame appends one encoded frame to buf and returns it: a
+// client's request, or the reply the server's writer should send.
+func appendFrame(buf []byte, typ byte, id uint64, payload []byte) []byte {
+	return append(appendFrameHeader(buf, typ, id, len(payload)), payload...)
+}
+
 func testKeys(n int, seed uint64) []uint64 {
 	gen := rng.New(seed)
 	keys := make([]uint64, n)
